@@ -163,28 +163,26 @@ fn parse_statement(
 
 fn parse_register_size(text: &str, line: usize) -> Result<u32, ParseQasmError> {
     // e.g. "q[5]"
-    let open = text
-        .find('[')
-        .ok_or_else(|| ParseQasmError::new(line, "malformed qreg"))?;
-    let close = text
-        .find(']')
-        .ok_or_else(|| ParseQasmError::new(line, "malformed qreg"))?;
-    text[open + 1..close]
+    bracketed(text)
+        .ok_or_else(|| ParseQasmError::new(line, "malformed qreg"))?
         .parse()
         .map_err(|_| ParseQasmError::new(line, "bad register size"))
 }
 
 fn parse_qubit(text: &str, line: usize) -> Result<QubitId, ParseQasmError> {
-    let open = text
-        .find('[')
-        .ok_or_else(|| ParseQasmError::new(line, format!("malformed operand {text}")))?;
-    let close = text
-        .find(']')
-        .ok_or_else(|| ParseQasmError::new(line, format!("malformed operand {text}")))?;
-    let index: u32 = text[open + 1..close]
+    let index: u32 = bracketed(text)
+        .ok_or_else(|| ParseQasmError::new(line, format!("malformed operand {text}")))?
         .parse()
         .map_err(|_| ParseQasmError::new(line, format!("bad qubit index in {text}")))?;
     Ok(QubitId::new(index))
+}
+
+/// The text between the first `[` and the first `]` after it; `None`
+/// when either bracket is missing or they come in the wrong order.
+fn bracketed(text: &str) -> Option<&str> {
+    let (_, rest) = text.split_once('[')?;
+    let (inside, _) = rest.split_once(']')?;
+    Some(inside)
 }
 
 fn parse_gate<'a>(

@@ -5,6 +5,8 @@ use crate::{ConsumeOrder, CutoffPolicy, EntangledLink, GenerationPattern};
 use dqc_types::Tick;
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Configuration of the entanglement service between one pair of nodes.
 ///
@@ -158,6 +160,27 @@ pub struct TakenLink {
 /// §V: buffered or not, synchronous or asynchronous, with optional
 /// pre-initialization and cutoff.
 ///
+/// # Event order
+///
+/// Events run in ascending `(time, kind, index)` order, with kinds ranked
+/// attempt completion < parked-link expiry < buffered-link expiry <
+/// swap-in done, and `index` the communication pair or buffer slot. A
+/// completion draws from the service's RNG exactly once, so this order
+/// fixes the draw sequence and every result is reproducible per seed.
+///
+/// # Cost
+///
+/// Pending pair events and swap-in completions sit in binary min-heaps
+/// and the earliest buffer expiry is cached, so finding and running one
+/// event is O(log n) in the number of pairs and buffer slots. Two steps
+/// stay linear: a buffer-expiry cutoff recomputes its cached minimum
+/// after a link leaves the buffer, and a freed buffer slot looks for the
+/// oldest parked link when some pair is parking one. [`available`] is
+/// O(1); [`try_take`] scans the ready links once without allocating.
+///
+/// [`available`]: EntanglementService::available
+/// [`try_take`]: EntanglementService::try_take
+///
 /// # Examples
 ///
 /// ```
@@ -181,6 +204,20 @@ pub struct EntanglementService {
     arrivals: Vec<Tick>,
     swap_free_at: Vec<Tick>,
     rng: ChaCha8Rng,
+    /// `Completion` / `HeldExpiry` events keyed `(time, kind)`. An entry
+    /// is live while its pair is still in the state that scheduled it;
+    /// stale entries are dropped when they reach the top.
+    pair_events: BinaryHeap<Reverse<(Tick, EventKind)>>,
+    /// The earliest buffer expiry and its slot, lowest slot on ties;
+    /// `None` without a cutoff or with an empty buffer.
+    next_buffer_expiry: Option<(Tick, usize)>,
+    /// Ready times of buffered links still being swapped in.
+    swaps_in_flight: BinaryHeap<Reverse<Tick>>,
+    /// Ready times of links that expired mid-swap, each matching one
+    /// entry of `swaps_in_flight` that is dropped when it reaches the top.
+    swaps_cancelled: BinaryHeap<Reverse<Tick>>,
+    /// Number of pairs parking a link.
+    held: usize,
 }
 
 impl EntanglementService {
@@ -194,6 +231,11 @@ impl EntanglementService {
             .iter()
             .map(|&off| PairState::Attempting(off + config.attempt_cycle))
             .collect();
+        let pair_events = offsets
+            .iter()
+            .enumerate()
+            .map(|(i, &off)| Reverse((off + config.attempt_cycle, EventKind::Completion(i))))
+            .collect();
         Self {
             pairs,
             offsets,
@@ -204,6 +246,11 @@ impl EntanglementService {
             swap_free_at: vec![Tick::ZERO; config.swap_concurrency.max(1)],
             config,
             rng: ChaCha8Rng::seed_from_u64(seed),
+            pair_events,
+            next_buffer_expiry: None,
+            swaps_in_flight: BinaryHeap::new(),
+            swaps_cancelled: BinaryHeap::new(),
+            held: 0,
         }
     }
 
@@ -241,13 +288,10 @@ impl EntanglementService {
             .buffer_capacity
             .saturating_sub(self.buffer.len());
         for _ in 0..n.min(room) {
-            self.buffer.push(BufferedLink {
-                link: EntangledLink::new(Tick::ZERO, self.config.initial_fidelity),
-                ready_at: Tick::ZERO,
-            });
+            let link = EntangledLink::new(Tick::ZERO, self.config.initial_fidelity);
+            self.push_buffered(link, Tick::ZERO);
             self.stats.preinitialized += 1;
         }
-        self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffer.len());
     }
 
     /// Advances the simulation clock to `t`, processing every attempt
@@ -259,64 +303,20 @@ impl EntanglementService {
             }
             self.process_event(event_time, kind);
         }
-        self.now = self.now.max(t);
+        self.set_now(t);
     }
 
     /// Number of links consumable right now.
     pub fn available(&self) -> usize {
-        let buffered = self
-            .buffer
-            .iter()
-            .filter(|b| b.ready_at <= self.now)
-            .count();
-        let held = self
-            .pairs
-            .iter()
-            .filter(|p| matches!(p, PairState::Holding(_)))
-            .count();
-        buffered + held
+        let swapping = self.swaps_in_flight.len() - self.swaps_cancelled.len();
+        self.buffer.len() - swapping + self.held
     }
 
     /// Advances to `t` and consumes one link if available, preferring the
     /// configured [`ConsumeOrder`].
     pub fn try_take(&mut self, t: Tick) -> Option<TakenLink> {
         self.advance_to(t);
-        // Candidates: (created_at, source) with source = buffer index or
-        // pair index.
-        let mut candidates: Vec<(Tick, bool, usize)> = Vec::new();
-        for (i, b) in self.buffer.iter().enumerate() {
-            if b.ready_at <= self.now {
-                candidates.push((b.link.created_at(), false, i));
-            }
-        }
-        for (i, p) in self.pairs.iter().enumerate() {
-            if let PairState::Holding(link) = p {
-                candidates.push((link.created_at(), true, i));
-            }
-        }
-        let chosen = match self.config.consume_order {
-            ConsumeOrder::OldestFirst => candidates.iter().min_by_key(|c| (c.0, c.1, c.2)),
-            ConsumeOrder::FreshestFirst => candidates.iter().max_by_key(|c| (c.0, !c.1, c.2)),
-        }?;
-        let &(_, from_pair, idx) = chosen;
-        let link = if from_pair {
-            let PairState::Holding(link) = self.pairs[idx] else {
-                unreachable!("candidate source checked above")
-            };
-            self.resume_pair(idx, self.now);
-            link
-        } else {
-            let b = self.buffer.swap_remove(idx);
-            self.unpark_held_links();
-            b.link
-        };
-        let age = link.age(self.now);
-        self.stats.consumed += 1;
-        self.stats.total_consumed_age += age;
-        Some(TakenLink {
-            fidelity: link.fidelity_at(self.now, self.config.kappa_per_tick),
-            age,
-        })
+        self.take_ready()
     }
 
     /// Returns the earliest time `≥ from` at which a link is available,
@@ -332,64 +332,123 @@ impl EntanglementService {
                 return Tick::MAX;
             };
             self.process_event(event_time, kind);
-            self.now = self.now.max(event_time);
+        }
+    }
+
+    /// Consumes the first link available at or after `from` and returns
+    /// it with its grant time: [`time_of_next_available`] followed by
+    /// [`try_take`] at that time, in one call. Events still queued at the
+    /// grant instant run before the take, exactly as `try_take` runs
+    /// them. Returns `None` when no link can ever be produced.
+    ///
+    /// [`time_of_next_available`]: EntanglementService::time_of_next_available
+    /// [`try_take`]: EntanglementService::try_take
+    pub fn take_next(&mut self, mut from: Tick) -> Option<(Tick, TakenLink)> {
+        loop {
+            let t = self.time_of_next_available(from);
+            if t == Tick::MAX {
+                return None;
+            }
+            self.advance_to(t);
+            if let Some(link) = self.take_ready() {
+                return Some((t, link));
+            }
+            // The rest of the instant expired or re-swapped the link that
+            // made `t` available; wait for the next one.
+            from = t;
         }
     }
 
     // ----- internals -----
 
-    fn next_event(&self) -> Option<(Tick, EventKind)> {
-        let mut best: Option<(Tick, EventKind)> = None;
-        let mut consider = |time: Tick, kind: EventKind| {
-            if best.is_none_or(|(bt, bk)| (time, kind) < (bt, bk)) {
-                best = Some((time, kind));
+    /// Moves the clock forward to `t` (never back) and retires the
+    /// swap-ins that have completed by then.
+    fn set_now(&mut self, t: Tick) {
+        self.now = self.now.max(t);
+        self.settle_swaps();
+    }
+
+    /// Pops in-flight swap-ins that are done by `now` or were cancelled,
+    /// so the heap top is the next live `SwapDone` and the live count is
+    /// `swaps_in_flight.len() - swaps_cancelled.len()`.
+    fn settle_swaps(&mut self) {
+        while let Some(&Reverse(ready)) = self.swaps_in_flight.peek() {
+            let cancelled = self.swaps_cancelled.peek() == Some(&Reverse(ready));
+            if ready > self.now && !cancelled {
+                break;
             }
-        };
-        for (i, p) in self.pairs.iter().enumerate() {
-            match *p {
-                PairState::Attempting(done) => consider(done, EventKind::Completion(i)),
-                PairState::Holding(link) => {
-                    if let CutoffPolicy::MaxAge(max) = self.config.cutoff {
-                        consider(
-                            link.created_at() + max + Tick::new(1),
-                            EventKind::HeldExpiry(i),
-                        );
-                    }
-                }
-            }
-        }
-        if let CutoffPolicy::MaxAge(max) = self.config.cutoff {
-            for (i, b) in self.buffer.iter().enumerate() {
-                consider(
-                    b.link.created_at() + max + Tick::new(1),
-                    EventKind::BufferExpiry(i),
-                );
+            self.swaps_in_flight.pop();
+            if cancelled {
+                self.swaps_cancelled.pop();
             }
         }
+    }
+
+    fn next_event(&mut self) -> Option<(Tick, EventKind)> {
+        while let Some(&Reverse((time, kind))) = self.pair_events.peek() {
+            if self.pair_event_is_live(time, kind) {
+                break;
+            }
+            self.pair_events.pop();
+        }
+        let pair = self.pair_events.peek().map(|&Reverse(event)| event);
+        let expiry = self
+            .next_buffer_expiry
+            .map(|(time, i)| (time, EventKind::BufferExpiry(i)));
         // Buffered links still being swapped in become available later;
         // that is an "event" for time_of_next_available.
-        for (i, b) in self.buffer.iter().enumerate() {
-            if b.ready_at > self.now {
-                consider(b.ready_at, EventKind::SwapDone(i));
+        let swap = self
+            .swaps_in_flight
+            .peek()
+            .map(|&Reverse(time)| (time, EventKind::SwapDone));
+        [pair, expiry, swap].into_iter().flatten().min()
+    }
+
+    fn pair_event_is_live(&self, time: Tick, kind: EventKind) -> bool {
+        match kind {
+            EventKind::Completion(i) => self.pairs[i] == PairState::Attempting(time),
+            EventKind::HeldExpiry(i) => matches!(
+                self.pairs[i],
+                PairState::Holding(link) if self.expiry(&link) == Some(time)
+            ),
+            EventKind::BufferExpiry(_) | EventKind::SwapDone => {
+                unreachable!("only pair events are queued in pair_events")
             }
         }
-        best
     }
 
     fn process_event(&mut self, time: Tick, kind: EventKind) {
-        self.now = self.now.max(time);
+        self.set_now(time);
         match kind {
-            EventKind::Completion(i) => self.complete_attempt(i, time),
+            EventKind::Completion(i) => {
+                self.pop_pair_event(time, kind);
+                self.complete_attempt(i, time);
+            }
             EventKind::HeldExpiry(i) => {
+                self.pop_pair_event(time, kind);
                 self.stats.wasted += 1;
                 self.resume_pair(i, time);
             }
             EventKind::BufferExpiry(i) => {
                 self.stats.wasted += 1;
-                self.buffer.swap_remove(i);
+                self.remove_buffered(i);
                 self.unpark_held_links();
             }
-            EventKind::SwapDone(_) => {}
+            // `set_now` already retired the swap-in.
+            EventKind::SwapDone => {}
+        }
+    }
+
+    fn pop_pair_event(&mut self, time: Tick, kind: EventKind) {
+        let popped = self.pair_events.pop();
+        debug_assert_eq!(popped, Some(Reverse((time, kind))), "event is the heap top");
+    }
+
+    /// When a link stops being kept under the cutoff policy.
+    fn expiry(&self, link: &EntangledLink) -> Option<Tick> {
+        match self.config.cutoff {
+            CutoffPolicy::Keep => None,
+            CutoffPolicy::MaxAge(max) => Some(link.created_at() + max + Tick::new(1)),
         }
     }
 
@@ -399,7 +458,7 @@ impl EntanglementService {
             .rng
             .random_bool(self.config.success_probability.clamp(0.0, 1.0));
         if !success {
-            self.pairs[i] = PairState::Attempting(time + self.config.attempt_cycle);
+            self.set_pair(i, PairState::Attempting(time + self.config.attempt_cycle));
             return;
         }
         self.stats.successes += 1;
@@ -407,14 +466,13 @@ impl EntanglementService {
         let link = EntangledLink::new(time, self.config.initial_fidelity);
         if self.buffer.len() < self.config.buffer_capacity {
             let ready_at = self.allocate_swap(time);
-            self.buffer.push(BufferedLink { link, ready_at });
-            self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffer.len());
+            self.push_buffered(link, ready_at);
             // The communication pair is busy for the swap, then resumes at
             // the next slot of its pattern.
             self.resume_pair(i, ready_at);
         } else {
             // No buffer slot: the pair parks the link and stalls.
-            self.pairs[i] = PairState::Holding(link);
+            self.set_pair(i, PairState::Holding(link));
         }
     }
 
@@ -441,13 +499,110 @@ impl EntanglementService {
         // First slot start ≥ at with start ≡ offset (mod cycle).
         let shifted = at.saturating_sub(offset);
         let start = offset + shifted.next_multiple_of(cycle);
-        self.pairs[i] = PairState::Attempting(start + cycle);
+        self.set_pair(i, PairState::Attempting(start + cycle));
+    }
+
+    /// Puts pair `i` into `state`, keeping the parked-link count and the
+    /// pair-event heap in step.
+    fn set_pair(&mut self, i: usize, state: PairState) {
+        if matches!(self.pairs[i], PairState::Holding(_)) {
+            self.held -= 1;
+        }
+        self.pairs[i] = state;
+        match state {
+            PairState::Attempting(done) => {
+                self.pair_events
+                    .push(Reverse((done, EventKind::Completion(i))));
+            }
+            PairState::Holding(link) => {
+                self.held += 1;
+                if let Some(expiry) = self.expiry(&link) {
+                    self.pair_events
+                        .push(Reverse((expiry, EventKind::HeldExpiry(i))));
+                }
+            }
+        }
+    }
+
+    /// Appends a link to the buffer, ready for consumption at `ready_at`.
+    fn push_buffered(&mut self, link: EntangledLink, ready_at: Tick) {
+        let slot = self.buffer.len();
+        self.buffer.push(BufferedLink { link, ready_at });
+        self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffer.len());
+        // The new slot is the highest, so it only wins a strictly earlier
+        // expiry.
+        if let Some(expiry) = self.expiry(&link) {
+            if self.next_buffer_expiry.is_none_or(|(t, _)| expiry < t) {
+                self.next_buffer_expiry = Some((expiry, slot));
+            }
+        }
+        if ready_at > self.now {
+            self.swaps_in_flight.push(Reverse(ready_at));
+        }
+    }
+
+    /// Removes buffer slot `i` (the last slot moves into its place).
+    fn remove_buffered(&mut self, i: usize) -> BufferedLink {
+        let removed = self.buffer.swap_remove(i);
+        if removed.ready_at > self.now {
+            self.swaps_cancelled.push(Reverse(removed.ready_at));
+            self.settle_swaps();
+        }
+        if matches!(self.config.cutoff, CutoffPolicy::MaxAge(_)) {
+            self.next_buffer_expiry = self
+                .buffer
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, b)| Some((self.expiry(&b.link)?, slot)))
+                .min();
+        }
+        removed
+    }
+
+    /// Consumes the preferred link available at `now`, if any.
+    fn take_ready(&mut self) -> Option<TakenLink> {
+        let now = self.now;
+        // Candidates: (created_at, from_pair, buffer slot or pair index).
+        let buffered = self
+            .buffer
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.ready_at <= now)
+            .map(|(i, b)| (b.link.created_at(), false, i));
+        let parked: &[PairState] = if self.held > 0 { &self.pairs } else { &[] };
+        let held = parked.iter().enumerate().filter_map(|(i, p)| match p {
+            PairState::Holding(link) => Some((link.created_at(), true, i)),
+            PairState::Attempting(_) => None,
+        });
+        let candidates = buffered.chain(held);
+        let (_, from_pair, idx) = match self.config.consume_order {
+            ConsumeOrder::OldestFirst => candidates.min(),
+            ConsumeOrder::FreshestFirst => candidates.max_by_key(|&(c, p, i)| (c, !p, i)),
+        }?;
+        let link = if from_pair {
+            let PairState::Holding(link) = self.pairs[idx] else {
+                unreachable!("candidate source checked above")
+            };
+            self.resume_pair(idx, now);
+            link
+        } else {
+            let b = self.remove_buffered(idx);
+            self.unpark_held_links();
+            b.link
+        };
+        let age = link.age(now);
+        self.stats.consumed += 1;
+        self.stats.total_consumed_age += age;
+        Some(TakenLink {
+            fidelity: link.fidelity_at(now, self.config.kappa_per_tick),
+            age,
+        })
     }
 
     /// After a buffer slot frees, move the oldest parked link (if any)
     /// into the buffer.
     fn unpark_held_links(&mut self) {
-        if self.buffer.len() >= self.config.buffer_capacity {
+        if self.held == 0 || self.buffer.len() >= self.config.buffer_capacity {
             return;
         }
         let held = self
@@ -461,22 +616,24 @@ impl EntanglementService {
             .min_by_key(|(created, i, _)| (*created, *i));
         if let Some((_, i, link)) = held {
             let ready = self.allocate_swap(self.now);
-            self.buffer.push(BufferedLink {
-                link,
-                ready_at: ready,
-            });
-            self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffer.len());
+            self.push_buffered(link, ready);
             self.resume_pair(i, ready);
         }
     }
 }
 
+/// What an event does, ordered as the processing order at equal times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
+    /// Pair `i`'s attempt completes.
     Completion(usize),
+    /// The link parked on pair `i` passes the cutoff.
     HeldExpiry(usize),
+    /// The link in buffer slot `i` passes the cutoff.
     BufferExpiry(usize),
-    SwapDone(usize),
+    /// A swap-in completes. It sorts last and changes nothing but the
+    /// clock, so which link it readies never matters.
+    SwapDone,
 }
 
 #[cfg(test)]
@@ -487,6 +644,82 @@ mod tests {
         ServiceConfig {
             pattern: GenerationPattern::Synchronous,
             ..ServiceConfig::default()
+        }
+    }
+
+    /// Cross-checks the incremental bookkeeping against full rescans of
+    /// the pairs and the buffer.
+    fn assert_consistent(svc: &EntanglementService) {
+        let ready = svc.buffer.iter().filter(|b| b.ready_at <= svc.now).count();
+        let held = svc
+            .pairs
+            .iter()
+            .filter(|p| matches!(p, PairState::Holding(_)))
+            .count();
+        assert_eq!(svc.available(), ready + held, "at {}", svc.now);
+        let expiry = svc
+            .buffer
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| Some((svc.expiry(&b.link)?, i)))
+            .min();
+        assert_eq!(svc.next_buffer_expiry, expiry, "at {}", svc.now);
+        let next_swap = svc
+            .buffer
+            .iter()
+            .map(|b| b.ready_at)
+            .filter(|&r| r > svc.now)
+            .min();
+        assert_eq!(
+            svc.swaps_in_flight.peek().map(|r| r.0),
+            next_swap,
+            "at {}",
+            svc.now
+        );
+    }
+
+    #[test]
+    fn incremental_bookkeeping_matches_a_rescan() {
+        // One slow swap channel and a short cutoff, so links expire while
+        // parked, buffered and still mid-swap.
+        for (seed, order) in [
+            (21, ConsumeOrder::OldestFirst),
+            (22, ConsumeOrder::FreshestFirst),
+        ] {
+            let cfg = ServiceConfig {
+                num_comm_pairs: 6,
+                buffer_capacity: 4,
+                swap_latency: Tick::new(45),
+                cutoff: CutoffPolicy::MaxAge(Tick::new(150)),
+                pattern: GenerationPattern::Synchronous,
+                consume_order: order,
+                ..ServiceConfig::default()
+            };
+            let mut svc = EntanglementService::new(cfg, seed);
+            svc.preinitialize(2);
+            let mut expires_mid_swap = false;
+            let mut t = Tick::ZERO;
+            for step in 0..2000_i64 {
+                t += Tick::new(7 + step % 53);
+                if step % 3 == 0 {
+                    let _ = svc.try_take(t);
+                } else {
+                    svc.advance_to(t);
+                }
+                assert_consistent(&svc);
+                expires_mid_swap |= svc
+                    .buffer
+                    .iter()
+                    .any(|b| svc.expiry(&b.link).is_some_and(|e| e < b.ready_at));
+                if step % 5 == 0 {
+                    if let Some((granted, _)) = svc.take_next(t) {
+                        t = granted;
+                    }
+                    assert_consistent(&svc);
+                }
+            }
+            assert!(expires_mid_swap, "the script must cancel a swap-in");
+            assert!(svc.stats().wasted > 0);
         }
     }
 

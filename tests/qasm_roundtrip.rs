@@ -61,3 +61,14 @@ fn json_round_trip_preserves_fingerprint_for_serve_portfolio() {
         );
     }
 }
+
+/// Brackets in the wrong order are a typed parse error naming the
+/// offending line, never a panic: this text reaches the parser straight
+/// from a daemon `submit`.
+#[test]
+fn reversed_brackets_are_parse_errors() {
+    for (source, line) in [("qreg q]1[;", 1), ("qreg q[2];\nh q]0[;", 2)] {
+        let err = from_qasm(source).expect_err(source);
+        assert_eq!(err.line(), line, "{source:?}: {err}");
+    }
+}

@@ -28,14 +28,13 @@ crates/bench/src/bin/perf.rs
 crates/bench/src/bin/serve_bench.rs
 "
 
-# HashMap: serving/daemon bookkeeping keyed for lookup only, the
-# executor's qubit scratch table (drained in deterministic gate order),
-# and tests that collate replies by tag before order-insensitive asserts.
+# HashMap: serving/daemon bookkeeping keyed for lookup only, and tests
+# that collate replies by tag before order-insensitive asserts. The
+# simulation engine itself uses none.
 HASHMAP_ALLOW="
 crates/serve/src/server.rs
 crates/served/src/daemon.rs
 crates/served/src/quota.rs
-crates/core/src/executor.rs
 tests/serve_determinism.rs
 tests/served_wire.rs
 "

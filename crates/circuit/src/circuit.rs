@@ -4,6 +4,17 @@ use crate::{CircuitError, Gate, GateCounts, Operation};
 use dqc_types::{GateId, QubitId, Tick};
 use std::fmt;
 
+/// The widest register the parsers accept: [`from_qasm`] and
+/// [`Circuit::from_json`] reject a wider declaration with a typed error.
+///
+/// Depth, the dependency DAG and the static analyzer size per-qubit state
+/// by the declared width, so an untrusted width must be bounded before a
+/// circuit exists. 2^16 wires is far above any device this workspace
+/// models.
+///
+/// [`from_qasm`]: crate::from_qasm
+pub const MAX_QUBITS: u32 = 1 << 16;
+
 /// An ordered list of gate applications on a fixed qubit register.
 ///
 /// `Circuit` is the exchange format of the whole workspace: workload

@@ -27,7 +27,7 @@
 //! `dqc-types`, so `from_json(to_json(c))` reproduces `c` — including
 //! [`Circuit::fingerprint`] — bit for bit.
 
-use crate::{Circuit, Gate};
+use crate::{Circuit, Gate, MAX_QUBITS};
 use dqc_types::{Json, JsonError, QubitId};
 
 impl Circuit {
@@ -77,11 +77,18 @@ impl Circuit {
     /// gate mnemonic, a parameter mismatch (an angle on a discrete gate
     /// or a rotation without one), or an operand list the circuit
     /// rejects (out-of-range or duplicate qubits, wrong arity). The
-    /// message names the offending op index.
+    /// message names the offending op index. A `num_qubits` above
+    /// [`MAX_QUBITS`] is a schema error too.
     pub fn from_json(json: &Json) -> Result<Circuit, JsonError> {
         let num_qubits = json.usize_field("num_qubits")?;
         let num_qubits = u32::try_from(num_qubits)
-            .map_err(|_| JsonError::schema("field `num_qubits`: register too large"))?;
+            .ok()
+            .filter(|&n| n <= MAX_QUBITS)
+            .ok_or_else(|| {
+                JsonError::schema(format!(
+                    "field `num_qubits`: register of {num_qubits} qubits exceeds the limit of {MAX_QUBITS}"
+                ))
+            })?;
         let mut circuit = Circuit::new(num_qubits);
         for (i, op) in json.array_field("ops")?.iter().enumerate() {
             let bad = |message: String| JsonError::schema(format!("op {i}: {message}"));
@@ -220,6 +227,21 @@ mod tests {
             let message = err.to_string();
             assert!(message.contains("op 0"), "{message}");
             assert!(message.contains(needle), "{message} missing {needle}");
+        }
+    }
+
+    #[test]
+    fn registers_wider_than_the_limit_are_schema_errors() {
+        let doc = |n: u64| Json::parse(&format!(r#"{{"num_qubits": {n}, "ops": []}}"#)).unwrap();
+        let widest = Circuit::from_json(&doc(u64::from(MAX_QUBITS))).unwrap();
+        assert_eq!(widest.num_qubits(), MAX_QUBITS);
+        for n in [u64::from(MAX_QUBITS) + 1, 4_294_967_295, 1 << 40] {
+            match Circuit::from_json(&doc(n)) {
+                Err(JsonError::Schema { message }) => {
+                    assert!(message.contains("exceeds the limit"), "{message}");
+                }
+                other => panic!("num_qubits {n}: expected a schema error, got {other:?}"),
+            }
         }
     }
 

@@ -48,7 +48,7 @@ mod qasm;
 mod qasm_parse;
 mod render;
 
-pub use circuit::Circuit;
+pub use circuit::{Circuit, MAX_QUBITS};
 pub use commute::{commutes, commutes_with_all};
 pub use counts::GateCounts;
 pub use dag::CircuitDag;

@@ -1,7 +1,7 @@
 //! OpenQASM 2.0 import (the subset produced by [`crate::to_qasm`] plus
 //! common aliases).
 
-use crate::{Circuit, Gate};
+use crate::{Circuit, Gate, MAX_QUBITS};
 use dqc_types::QubitId;
 use std::error::Error;
 use std::fmt;
@@ -163,10 +163,17 @@ fn parse_statement(
 
 fn parse_register_size(text: &str, line: usize) -> Result<u32, ParseQasmError> {
     // e.g. "q[5]"
-    bracketed(text)
+    let size: u32 = bracketed(text)
         .ok_or_else(|| ParseQasmError::new(line, "malformed qreg"))?
         .parse()
-        .map_err(|_| ParseQasmError::new(line, "bad register size"))
+        .map_err(|_| ParseQasmError::new(line, "bad register size"))?;
+    if size > MAX_QUBITS {
+        return Err(ParseQasmError::new(
+            line,
+            format!("register of {size} qubits exceeds the limit of {MAX_QUBITS}"),
+        ));
+    }
+    Ok(size)
 }
 
 fn parse_qubit(text: &str, line: usize) -> Result<QubitId, ParseQasmError> {

@@ -13,7 +13,7 @@ use crate::{
     RemoteFidelityTable, VariantKind,
 };
 use dqc_circuit::{Circuit, Gate, Operation};
-use dqc_entanglement::{swap_chain_fidelity, EntanglementService, RoutingTable};
+use dqc_entanglement::{swap_chain_fidelity_of, EntanglementService, RoutingTable};
 use dqc_partition::QubitMap;
 use dqc_sim::TeleportNoise;
 use dqc_types::{Fidelity, NodeId, Tick};
@@ -346,10 +346,10 @@ fn take_routed(
         // topology.
         return take_link(services.supply_for(pair), t);
     }
-    let swaps = route.swaps();
-    let edges: Vec<(NodeId, NodeId)> = route.edges().collect();
-    let mut grants = Vec::with_capacity(edges.len());
-    for &edge in &edges {
+    // The grants wait in a buffer the pool reuses across gates.
+    let mut grants = std::mem::take(&mut services.grants);
+    grants.clear();
+    for edge in route.edges() {
         grants.push(take_link(services.supply_for(edge), t)?);
     }
     let assembled = grants
@@ -357,17 +357,16 @@ fn take_routed(
         .map(|&(granted, _)| granted)
         .max()
         .expect("multi-hop route has edges");
-    let ready = assembled + services.config.entanglement_swap_latency() * swaps as i64;
-    let fidelities: Vec<f64> = edges
-        .iter()
-        .zip(&grants)
-        .map(|(&edge, &(granted, fidelity))| {
+    let ready = assembled + services.config.entanglement_swap_latency() * route.swaps() as i64;
+    let fidelity = swap_chain_fidelity_of(route.edges().zip(&grants).map(
+        |(edge, &(granted, fidelity))| {
             let kappa = services.kappa_for(edge);
             let wait = (ready - granted).ticks() as f64;
             dqc_sim::werner_fidelity_after(fidelity.clamp(0.25, 1.0), kappa * wait)
-        })
-        .collect();
-    Ok((ready, swap_chain_fidelity(&fidelities)))
+        },
+    ));
+    services.grants = grants;
+    Ok((ready, fidelity))
 }
 
 pub(crate) fn node_pair(map: &QubitMap, op: &Operation) -> (NodeId, NodeId) {
@@ -594,7 +593,11 @@ impl OnDemandGenerator {
 /// linked; with one, supplies exist per topology *edge* and non-adjacent
 /// pairs are served by [`take_routed`] swap chains over them.
 struct ServicePool<'a> {
-    supplies: BTreeMap<(NodeId, NodeId), Supply>,
+    /// Supplies sorted by node pair, created on first use.
+    supplies: Vec<((NodeId, NodeId), Supply)>,
+    /// Scratch for [`take_routed`]: each route edge's grant time and link
+    /// fidelity.
+    grants: Vec<(Tick, f64)>,
     config: &'a SystemConfig,
     design: Design,
     seed: u64,
@@ -609,7 +612,8 @@ impl<'a> ServicePool<'a> {
         routing: Option<&'a RoutingTable>,
     ) -> Self {
         Self {
-            supplies: BTreeMap::new(),
+            supplies: Vec::new(),
+            grants: Vec::new(),
             config,
             design,
             seed,
@@ -617,57 +621,66 @@ impl<'a> ServicePool<'a> {
         }
     }
 
+    /// The supply of one physical link, created on first use.
     fn supply_for(&mut self, pair: (NodeId, NodeId)) -> &mut Supply {
-        let config = self.config;
-        let design = self.design;
-        let seed = self.seed;
-        self.supplies.entry(pair).or_insert_with(|| {
-            // A node's communication qubits are split across its physical
-            // links: all n−1 of them on the implicit complete graph, or
-            // the node's topology degree otherwise (the busier endpoint
-            // bounds the pair budget of the edge).
-            let links_per_node = match &config.topology {
-                None => (config.num_nodes - 1).max(1),
-                Some(topology) => topology.degree(pair.0).max(topology.degree(pair.1)).max(1),
-            };
-            let pairs = (config.comm_qubits_per_node / links_per_node).max(1);
-            let link_params = config
-                .topology
-                .as_ref()
-                .and_then(|t| t.link_params(pair.0, pair.1));
-            let pair_salt = (pair.0.index() as u64) << 32 | ((pair.1.index() as u64) << 16) | 0xD0C;
-            if design.uses_buffer() {
-                let pattern = design.generation_pattern(config.async_groups);
-                let mut service_config = config.service_config(pattern, true);
-                service_config.num_comm_pairs = pairs;
-                if let Some(params) = link_params {
-                    SystemConfig::apply_link_params(&mut service_config, params);
-                }
-                let mut service = EntanglementService::new(service_config, seed ^ pair_salt);
-                if design.preinitializes() {
-                    service.preinitialize(config.buffer_qubits_per_node);
-                }
-                Supply::Background(Box::new(service))
-            } else {
-                let cycle = link_params
-                    .and_then(|p| p.epr_cycle)
-                    .unwrap_or(config.latencies.epr_cycle);
-                let initial_fidelity = link_params
-                    .and_then(|p| p.initial_fidelity)
-                    .unwrap_or(config.fidelities.epr);
-                Supply::OnDemand(OnDemandGenerator {
-                    pairs,
-                    success_probability: config.success_probability,
-                    cycle,
-                    initial_fidelity,
-                    busy_until: Tick::ZERO,
-                    stats: dqc_entanglement::ServiceStats::default(),
-                    rng: <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(
-                        seed ^ pair_salt,
-                    ),
-                })
+        let i = match self.supplies.binary_search_by_key(&pair, |(p, _)| *p) {
+            Ok(i) => i,
+            Err(i) => {
+                let supply = self.new_supply(pair);
+                self.supplies.insert(i, (pair, supply));
+                i
             }
-        })
+        };
+        &mut self.supplies[i].1
+    }
+
+    fn new_supply(&self, pair: (NodeId, NodeId)) -> Supply {
+        let (config, design, seed) = (self.config, self.design, self.seed);
+        // A node's communication qubits are split across its physical
+        // links: all n−1 of them on the implicit complete graph, or
+        // the node's topology degree otherwise (the busier endpoint
+        // bounds the pair budget of the edge).
+        let links_per_node = match &config.topology {
+            None => (config.num_nodes - 1).max(1),
+            Some(topology) => topology.degree(pair.0).max(topology.degree(pair.1)).max(1),
+        };
+        let pairs = (config.comm_qubits_per_node / links_per_node).max(1);
+        let link_params = config
+            .topology
+            .as_ref()
+            .and_then(|t| t.link_params(pair.0, pair.1));
+        let pair_salt = (pair.0.index() as u64) << 32 | ((pair.1.index() as u64) << 16) | 0xD0C;
+        if design.uses_buffer() {
+            let pattern = design.generation_pattern(config.async_groups);
+            let mut service_config = config.service_config(pattern, true);
+            service_config.num_comm_pairs = pairs;
+            if let Some(params) = link_params {
+                SystemConfig::apply_link_params(&mut service_config, params);
+            }
+            let mut service = EntanglementService::new(service_config, seed ^ pair_salt);
+            if design.preinitializes() {
+                service.preinitialize(config.buffer_qubits_per_node);
+            }
+            Supply::Background(Box::new(service))
+        } else {
+            let cycle = link_params
+                .and_then(|p| p.epr_cycle)
+                .unwrap_or(config.latencies.epr_cycle);
+            let initial_fidelity = link_params
+                .and_then(|p| p.initial_fidelity)
+                .unwrap_or(config.fidelities.epr);
+            Supply::OnDemand(OnDemandGenerator {
+                pairs,
+                success_probability: config.success_probability,
+                cycle,
+                initial_fidelity,
+                busy_until: Tick::ZERO,
+                stats: dqc_entanglement::ServiceStats::default(),
+                rng: <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(
+                    seed ^ pair_salt,
+                ),
+            })
+        }
     }
 
     /// The idling decoherence rate governing links held on `edge`.
@@ -713,7 +726,7 @@ impl<'a> ServicePool<'a> {
 
     fn merged_stats(&self) -> dqc_entanglement::ServiceStats {
         let mut total = dqc_entanglement::ServiceStats::default();
-        for s in self.supplies.values() {
+        for (_, s) in &self.supplies {
             let st = match s {
                 Supply::Background(svc) => *svc.stats(),
                 Supply::OnDemand(gen) => gen.stats,

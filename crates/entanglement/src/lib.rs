@@ -44,6 +44,6 @@ mod topology;
 
 pub use link::EntangledLink;
 pub use policy::{ConsumeOrder, CutoffPolicy, GenerationPattern};
-pub use routing::{swap_chain_fidelity, Route, RoutingTable};
+pub use routing::{swap_chain_fidelity, swap_chain_fidelity_of, Route, RoutingTable};
 pub use service::{EntanglementService, ServiceConfig, ServiceStats, TakenLink};
 pub use topology::{LinkParams, NetworkTopology, TopologyFamily};

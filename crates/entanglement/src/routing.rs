@@ -188,8 +188,14 @@ impl RoutingTable {
 /// assert!((swap_chain_fidelity(&[0.25, 0.99, 0.99]) - 0.25).abs() < 1e-12);
 /// ```
 pub fn swap_chain_fidelity(link_fidelities: &[f64]) -> f64 {
+    swap_chain_fidelity_of(link_fidelities.iter().copied())
+}
+
+/// [`swap_chain_fidelity`] over the link fidelities as they are
+/// produced, with the same arithmetic in the same order.
+pub fn swap_chain_fidelity_of(link_fidelities: impl IntoIterator<Item = f64>) -> f64 {
     let p: f64 = link_fidelities
-        .iter()
+        .into_iter()
         .map(|f| (4.0 * f.clamp(0.25, 1.0) - 1.0) / 3.0)
         .product();
     (1.0 + 3.0 * p) / 4.0

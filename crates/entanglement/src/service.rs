@@ -5,8 +5,7 @@ use crate::{ConsumeOrder, CutoffPolicy, EntangledLink, GenerationPattern};
 use dqc_types::Tick;
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// Configuration of the entanglement service between one pair of nodes.
 ///
@@ -131,13 +130,21 @@ impl ServiceStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum PairState {
-    /// An attempt is in flight, completing at the associated time.
-    Attempting(Tick),
-    /// A success is parked on the communication pair (no buffer slot);
-    /// the pair cannot attempt until the link is consumed or discarded.
-    Holding(EntangledLink),
+/// A pair's pending attempt: it completes at `done`. Ordered by
+/// `(done, pair)`, the processing order of simultaneous completions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Attempt {
+    done: Tick,
+    pair: usize,
+}
+
+/// A success parked on communication pair `pair` (no buffer slot was
+/// free); the pair cannot attempt until the link is consumed or
+/// discarded.
+#[derive(Debug, Clone, Copy)]
+struct HeldLink {
+    link: EntangledLink,
+    pair: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -164,22 +171,31 @@ pub struct TakenLink {
 ///
 /// Events run in ascending `(time, kind, index)` order, with kinds ranked
 /// attempt completion < parked-link expiry < buffered-link expiry <
-/// swap-in done, and `index` the communication pair or buffer slot. A
+/// swap-in done. For a completion or a parked-link expiry `index` is the
+/// communication pair. For a buffered-link expiry it is the link's
+/// position in creation order, so the oldest link expires first. A
 /// completion draws from the service's RNG exactly once, so this order
 /// fixes the draw sequence and every result is reproducible per seed.
 ///
 /// # Cost
 ///
-/// Pending pair events and swap-in completions sit in binary min-heaps
-/// and the earliest buffer expiry is cached, so finding and running one
-/// event is O(log n) in the number of pairs and buffer slots. Two steps
-/// stay linear: a buffer-expiry cutoff recomputes its cached minimum
-/// after a link leaves the buffer, and a freed buffer slot looks for the
-/// oldest parked link when some pair is parking one. [`available`] is
-/// O(1); [`try_take`] scans the ready links once without allocating.
+/// Each event source keeps its events in processing order, so the next
+/// event of every kind sits at the front of its queue:
+///
+/// - pending attempts in a queue ordered by `(time, pair)`; a failure
+///   reschedules one cycle later and almost always appends;
+/// - parked links in park order, which is `(created, pair)` order;
+/// - buffered links in creation order, which is also swap-in order: the
+///   ready links are a prefix and the mid-swap ones the rest.
+///
+/// Each front yields one packed `u64` key, `time << 2 | kind`, and the
+/// next event is the integer minimum of four keys. Running an event
+/// costs a few integer operations plus, for a completion, its RNG draw.
+/// A take, an expiry and an unpark work at the ends of their queues and
+/// are O(1); a freshest-first take from the buffer moves only the links
+/// still being swapped in. [`available`] is O(1).
 ///
 /// [`available`]: EntanglementService::available
-/// [`try_take`]: EntanglementService::try_take
 ///
 /// # Examples
 ///
@@ -196,28 +212,40 @@ pub struct TakenLink {
 #[derive(Debug, Clone)]
 pub struct EntanglementService {
     config: ServiceConfig,
-    pairs: Vec<PairState>,
     offsets: Vec<Tick>,
-    buffer: Vec<BufferedLink>,
+    /// One entry per attempting pair, in `(done, pair)` order.
+    attempts: VecDeque<Attempt>,
+    /// Parked links in `(created, pair)` order.
+    held: VecDeque<HeldLink>,
+    /// Buffered links in creation order. Swap-ins finish in the same
+    /// order, so `buffer[..ready]` are consumable and the rest are still
+    /// being swapped in.
+    buffer: VecDeque<BufferedLink>,
+    ready: usize,
+    /// `max + 1` under [`CutoffPolicy::MaxAge`]: a link created at `c`
+    /// expires at `c + cutoff_after`.
+    cutoff_after: Option<Tick>,
     now: Tick,
     stats: ServiceStats,
     arrivals: Vec<Tick>,
     swap_free_at: Vec<Tick>,
     rng: ChaCha8Rng,
-    /// `Completion` / `HeldExpiry` events keyed `(time, kind)`. An entry
-    /// is live while its pair is still in the state that scheduled it;
-    /// stale entries are dropped when they reach the top.
-    pair_events: BinaryHeap<Reverse<(Tick, EventKind)>>,
-    /// The earliest buffer expiry and its slot, lowest slot on ties;
-    /// `None` without a cutoff or with an empty buffer.
-    next_buffer_expiry: Option<(Tick, usize)>,
-    /// Ready times of buffered links still being swapped in.
-    swaps_in_flight: BinaryHeap<Reverse<Tick>>,
-    /// Ready times of links that expired mid-swap, each matching one
-    /// entry of `swaps_in_flight` that is dropped when it reaches the top.
-    swaps_cancelled: BinaryHeap<Reverse<Tick>>,
-    /// Number of pairs parking a link.
-    held: usize,
+}
+
+/// Event kinds in their processing order at equal times; the low two
+/// bits of an event key.
+const COMPLETION: u64 = 0;
+const HELD_EXPIRY: u64 = 1;
+const BUFFER_EXPIRY: u64 = 2;
+const SWAP_DONE: u64 = 3;
+/// The key of "no event".
+const NO_EVENT: u64 = u64::MAX;
+
+/// Packs an event into an integer key that sorts in processing order.
+/// Event times are non-negative and below `2^62` ticks.
+fn event_key(time: Tick, kind: u64) -> u64 {
+    debug_assert!((0..1 << 62).contains(&time.ticks()), "event time {time}");
+    (time.ticks() as u64) << 2 | kind
 }
 
 impl EntanglementService {
@@ -227,30 +255,32 @@ impl EntanglementService {
         let offsets: Vec<Tick> = (0..config.num_comm_pairs)
             .map(|i| config.pattern.offset(i, config.attempt_cycle))
             .collect();
-        let pairs = offsets
-            .iter()
-            .map(|&off| PairState::Attempting(off + config.attempt_cycle))
-            .collect();
-        let pair_events = offsets
+        let mut attempts: Vec<Attempt> = offsets
             .iter()
             .enumerate()
-            .map(|(i, &off)| Reverse((off + config.attempt_cycle, EventKind::Completion(i))))
+            .map(|(pair, &off)| Attempt {
+                done: off + config.attempt_cycle,
+                pair,
+            })
             .collect();
+        attempts.sort_unstable();
+        let cutoff_after = match config.cutoff {
+            CutoffPolicy::Keep => None,
+            CutoffPolicy::MaxAge(max) => Some(max + Tick::new(1)),
+        };
         Self {
-            pairs,
             offsets,
-            buffer: Vec::with_capacity(config.buffer_capacity),
+            attempts: attempts.into(),
+            held: VecDeque::new(),
+            buffer: VecDeque::with_capacity(config.buffer_capacity),
+            ready: 0,
+            cutoff_after,
             now: Tick::ZERO,
             stats: ServiceStats::default(),
             arrivals: Vec::new(),
             swap_free_at: vec![Tick::ZERO; config.swap_concurrency.max(1)],
             config,
             rng: ChaCha8Rng::seed_from_u64(seed),
-            pair_events,
-            next_buffer_expiry: None,
-            swaps_in_flight: BinaryHeap::new(),
-            swaps_cancelled: BinaryHeap::new(),
-            held: 0,
         }
     }
 
@@ -297,19 +327,19 @@ impl EntanglementService {
     /// Advances the simulation clock to `t`, processing every attempt
     /// completion and cutoff expiry in chronological order.
     pub fn advance_to(&mut self, t: Tick) {
-        while let Some((event_time, kind)) = self.next_event() {
-            if event_time > t {
+        loop {
+            let key = self.next_event();
+            if key == NO_EVENT || (key >> 2) as i64 > t.ticks() {
                 break;
             }
-            self.process_event(event_time, kind);
+            self.process_event(key);
         }
         self.set_now(t);
     }
 
     /// Number of links consumable right now.
     pub fn available(&self) -> usize {
-        let swapping = self.swaps_in_flight.len() - self.swaps_cancelled.len();
-        self.buffer.len() - swapping + self.held
+        self.ready + self.held.len()
     }
 
     /// Advances to `t` and consumes one link if available, preferring the
@@ -328,10 +358,11 @@ impl EntanglementService {
             if self.available() > 0 {
                 return self.now.max(from);
             }
-            let Some((event_time, kind)) = self.next_event() else {
+            let key = self.next_event();
+            if key == NO_EVENT {
                 return Tick::MAX;
-            };
-            self.process_event(event_time, kind);
+            }
+            self.process_event(key);
         }
     }
 
@@ -361,104 +392,77 @@ impl EntanglementService {
 
     // ----- internals -----
 
-    /// Moves the clock forward to `t` (never back) and retires the
-    /// swap-ins that have completed by then.
+    /// Moves the clock forward to `t` (never back) and marks the
+    /// swap-ins done by then as ready.
     fn set_now(&mut self, t: Tick) {
         self.now = self.now.max(t);
-        self.settle_swaps();
-    }
-
-    /// Pops in-flight swap-ins that are done by `now` or were cancelled,
-    /// so the heap top is the next live `SwapDone` and the live count is
-    /// `swaps_in_flight.len() - swaps_cancelled.len()`.
-    fn settle_swaps(&mut self) {
-        while let Some(&Reverse(ready)) = self.swaps_in_flight.peek() {
-            let cancelled = self.swaps_cancelled.peek() == Some(&Reverse(ready));
-            if ready > self.now && !cancelled {
-                break;
-            }
-            self.swaps_in_flight.pop();
-            if cancelled {
-                self.swaps_cancelled.pop();
-            }
+        while self
+            .buffer
+            .get(self.ready)
+            .is_some_and(|b| b.ready_at <= self.now)
+        {
+            self.ready += 1;
         }
     }
 
-    fn next_event(&mut self) -> Option<(Tick, EventKind)> {
-        while let Some(&Reverse((time, kind))) = self.pair_events.peek() {
-            if self.pair_event_is_live(time, kind) {
-                break;
-            }
-            self.pair_events.pop();
-        }
-        let pair = self.pair_events.peek().map(|&Reverse(event)| event);
-        let expiry = self
-            .next_buffer_expiry
-            .map(|(time, i)| (time, EventKind::BufferExpiry(i)));
-        // Buffered links still being swapped in become available later;
-        // that is an "event" for time_of_next_available.
+    /// The key of the next event, or [`NO_EVENT`]: the least of the
+    /// fronts of the attempt queue, the parked links, the buffer (its
+    /// oldest link expires first) and the swap-ins.
+    fn next_event(&self) -> u64 {
+        let completion = self
+            .attempts
+            .front()
+            .map_or(NO_EVENT, |a| event_key(a.done, COMPLETION));
         let swap = self
-            .swaps_in_flight
-            .peek()
-            .map(|&Reverse(time)| (time, EventKind::SwapDone));
-        [pair, expiry, swap].into_iter().flatten().min()
+            .buffer
+            .get(self.ready)
+            .map_or(NO_EVENT, |b| event_key(b.ready_at, SWAP_DONE));
+        let Some(after) = self.cutoff_after else {
+            return completion.min(swap);
+        };
+        let held = self.held.front().map_or(NO_EVENT, |h| {
+            event_key(h.link.created_at() + after, HELD_EXPIRY)
+        });
+        let buffered = self.buffer.front().map_or(NO_EVENT, |b| {
+            event_key(b.link.created_at() + after, BUFFER_EXPIRY)
+        });
+        completion.min(swap).min(held).min(buffered)
     }
 
-    fn pair_event_is_live(&self, time: Tick, kind: EventKind) -> bool {
-        match kind {
-            EventKind::Completion(i) => self.pairs[i] == PairState::Attempting(time),
-            EventKind::HeldExpiry(i) => matches!(
-                self.pairs[i],
-                PairState::Holding(link) if self.expiry(&link) == Some(time)
-            ),
-            EventKind::BufferExpiry(_) | EventKind::SwapDone => {
-                unreachable!("only pair events are queued in pair_events")
-            }
-        }
-    }
-
-    fn process_event(&mut self, time: Tick, kind: EventKind) {
+    fn process_event(&mut self, key: u64) {
+        let time = Tick::new((key >> 2) as i64);
         self.set_now(time);
-        match kind {
-            EventKind::Completion(i) => {
-                self.pop_pair_event(time, kind);
-                self.complete_attempt(i, time);
+        match key & 3 {
+            COMPLETION => {
+                let attempt = self.attempts.pop_front().expect("a pending attempt");
+                debug_assert_eq!(attempt.done, time, "the attempt is the queue front");
+                self.complete_attempt(attempt.pair, time);
             }
-            EventKind::HeldExpiry(i) => {
-                self.pop_pair_event(time, kind);
+            HELD_EXPIRY => {
+                let held = self.held.pop_front().expect("a parked link");
                 self.stats.wasted += 1;
-                self.resume_pair(i, time);
+                self.resume_pair(held.pair, time);
             }
-            EventKind::BufferExpiry(i) => {
+            BUFFER_EXPIRY => {
                 self.stats.wasted += 1;
-                self.remove_buffered(i);
-                self.unpark_held_links();
+                self.remove_buffered(0);
+                self.unpark_held_link();
             }
-            // `set_now` already retired the swap-in.
-            EventKind::SwapDone => {}
+            // `set_now` already marked the swap-in ready.
+            _ => {}
         }
     }
 
-    fn pop_pair_event(&mut self, time: Tick, kind: EventKind) {
-        let popped = self.pair_events.pop();
-        debug_assert_eq!(popped, Some(Reverse((time, kind))), "event is the heap top");
-    }
-
-    /// When a link stops being kept under the cutoff policy.
-    fn expiry(&self, link: &EntangledLink) -> Option<Tick> {
-        match self.config.cutoff {
-            CutoffPolicy::Keep => None,
-            CutoffPolicy::MaxAge(max) => Some(link.created_at() + max + Tick::new(1)),
-        }
-    }
-
-    fn complete_attempt(&mut self, i: usize, time: Tick) {
+    fn complete_attempt(&mut self, pair: usize, time: Tick) {
         self.stats.attempts += 1;
         let success = self
             .rng
             .random_bool(self.config.success_probability.clamp(0.0, 1.0));
         if !success {
-            self.set_pair(i, PairState::Attempting(time + self.config.attempt_cycle));
+            self.schedule(Attempt {
+                done: time + self.config.attempt_cycle,
+                pair,
+            });
             return;
         }
         self.stats.successes += 1;
@@ -469,16 +473,35 @@ impl EntanglementService {
             self.push_buffered(link, ready_at);
             // The communication pair is busy for the swap, then resumes at
             // the next slot of its pattern.
-            self.resume_pair(i, ready_at);
+            self.resume_pair(pair, ready_at);
         } else {
-            // No buffer slot: the pair parks the link and stalls.
-            self.set_pair(i, PairState::Holding(link));
+            // No buffer slot: the pair parks the link and stalls. Links
+            // are parked in event order, so `held` stays in
+            // `(created, pair)` order.
+            self.held.push_back(HeldLink { link, pair });
         }
+    }
+
+    /// Queues an attempt in `(done, pair)` order, searching from the
+    /// back: a failure reschedules one cycle later, behind nearly every
+    /// pending attempt.
+    fn schedule(&mut self, attempt: Attempt) {
+        if self.attempts.back().is_none_or(|last| *last < attempt) {
+            self.attempts.push_back(attempt);
+            return;
+        }
+        let at = self
+            .attempts
+            .iter()
+            .rposition(|a| *a < attempt)
+            .map_or(0, |i| i + 1);
+        self.attempts.insert(at, attempt);
     }
 
     /// Reserves the earliest-free swap channel starting no earlier than
     /// `at`; returns the swap completion time. Simultaneous successes
-    /// (synchronous bursts) queue here.
+    /// (synchronous bursts) queue here. Completion times never decrease
+    /// from one call to the next, so swap-ins finish in buffer order.
     fn allocate_swap(&mut self, at: Tick) -> Tick {
         let channel = self
             .swap_free_at
@@ -491,104 +514,77 @@ impl EntanglementService {
         done
     }
 
-    /// Restarts attempts on pair `i`, aligned to its pattern slot at or
-    /// after `at`.
-    fn resume_pair(&mut self, i: usize, at: Tick) {
+    /// Restarts attempts on pair `pair`, aligned to its pattern slot at
+    /// or after `at`.
+    fn resume_pair(&mut self, pair: usize, at: Tick) {
         let cycle = self.config.attempt_cycle;
-        let offset = self.offsets[i];
+        let offset = self.offsets[pair];
         // First slot start ≥ at with start ≡ offset (mod cycle).
         let shifted = at.saturating_sub(offset);
         let start = offset + shifted.next_multiple_of(cycle);
-        self.set_pair(i, PairState::Attempting(start + cycle));
-    }
-
-    /// Puts pair `i` into `state`, keeping the parked-link count and the
-    /// pair-event heap in step.
-    fn set_pair(&mut self, i: usize, state: PairState) {
-        if matches!(self.pairs[i], PairState::Holding(_)) {
-            self.held -= 1;
-        }
-        self.pairs[i] = state;
-        match state {
-            PairState::Attempting(done) => {
-                self.pair_events
-                    .push(Reverse((done, EventKind::Completion(i))));
-            }
-            PairState::Holding(link) => {
-                self.held += 1;
-                if let Some(expiry) = self.expiry(&link) {
-                    self.pair_events
-                        .push(Reverse((expiry, EventKind::HeldExpiry(i))));
-                }
-            }
-        }
+        self.schedule(Attempt {
+            done: start + cycle,
+            pair,
+        });
     }
 
     /// Appends a link to the buffer, ready for consumption at `ready_at`.
+    ///
+    /// Every link enters at the back in creation order: a fresh success
+    /// is the newest link, and an unparked link is no older than any
+    /// buffered one, because links only park while the buffer is full.
     fn push_buffered(&mut self, link: EntangledLink, ready_at: Tick) {
-        let slot = self.buffer.len();
-        self.buffer.push(BufferedLink { link, ready_at });
+        debug_assert!(self.buffer.back().is_none_or(|b| {
+            b.link.created_at() <= link.created_at() && b.ready_at <= ready_at
+        }));
+        self.buffer.push_back(BufferedLink { link, ready_at });
         self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffer.len());
-        // The new slot is the highest, so it only wins a strictly earlier
-        // expiry.
-        if let Some(expiry) = self.expiry(&link) {
-            if self.next_buffer_expiry.is_none_or(|(t, _)| expiry < t) {
-                self.next_buffer_expiry = Some((expiry, slot));
-            }
-        }
-        if ready_at > self.now {
-            self.swaps_in_flight.push(Reverse(ready_at));
+        if ready_at <= self.now {
+            self.ready += 1;
         }
     }
 
-    /// Removes buffer slot `i` (the last slot moves into its place).
+    /// Removes the buffered link at position `i` in creation order.
     fn remove_buffered(&mut self, i: usize) -> BufferedLink {
-        let removed = self.buffer.swap_remove(i);
-        if removed.ready_at > self.now {
-            self.swaps_cancelled.push(Reverse(removed.ready_at));
-            self.settle_swaps();
+        if i < self.ready {
+            self.ready -= 1;
         }
-        if matches!(self.config.cutoff, CutoffPolicy::MaxAge(_)) {
-            self.next_buffer_expiry = self
-                .buffer
-                .iter()
-                .enumerate()
-                .filter_map(|(slot, b)| Some((self.expiry(&b.link)?, slot)))
-                .min();
-        }
-        removed
+        self.buffer.remove(i).expect("position within the buffer")
     }
 
     /// Consumes the preferred link available at `now`, if any.
+    ///
+    /// Every parked link is at least as new as every buffered one, and a
+    /// buffered link wins a tie in creation time. Oldest-first therefore
+    /// takes the oldest ready buffered link, else the oldest parked one;
+    /// freshest-first takes the newest parked link when it is strictly
+    /// newer than the newest ready buffered link, else that buffered link.
     fn take_ready(&mut self) -> Option<TakenLink> {
         let now = self.now;
-        // Candidates: (created_at, from_pair, buffer slot or pair index).
-        let buffered = self
-            .buffer
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.ready_at <= now)
-            .map(|(i, b)| (b.link.created_at(), false, i));
-        let parked: &[PairState] = if self.held > 0 { &self.pairs } else { &[] };
-        let held = parked.iter().enumerate().filter_map(|(i, p)| match p {
-            PairState::Holding(link) => Some((link.created_at(), true, i)),
-            PairState::Attempting(_) => None,
-        });
-        let candidates = buffered.chain(held);
-        let (_, from_pair, idx) = match self.config.consume_order {
-            ConsumeOrder::OldestFirst => candidates.min(),
-            ConsumeOrder::FreshestFirst => candidates.max_by_key(|&(c, p, i)| (c, !p, i)),
-        }?;
-        let link = if from_pair {
-            let PairState::Holding(link) = self.pairs[idx] else {
-                unreachable!("candidate source checked above")
-            };
-            self.resume_pair(idx, now);
-            link
-        } else {
-            let b = self.remove_buffered(idx);
-            self.unpark_held_links();
-            b.link
+        let newest_ready = self.ready.checked_sub(1);
+        let from_buffer = match self.config.consume_order {
+            ConsumeOrder::OldestFirst => newest_ready.map(|_| 0),
+            ConsumeOrder::FreshestFirst => newest_ready.filter(|&i| {
+                let created = self.buffer[i].link.created_at();
+                self.held
+                    .back()
+                    .is_none_or(|h| h.link.created_at() <= created)
+            }),
+        };
+        let link = match from_buffer {
+            Some(i) => {
+                let b = self.remove_buffered(i);
+                self.unpark_held_link();
+                b.link
+            }
+            None => {
+                let held = match self.config.consume_order {
+                    ConsumeOrder::OldestFirst => self.held.pop_front(),
+                    ConsumeOrder::FreshestFirst => self.held.pop_back(),
+                }?;
+                self.resume_pair(held.pair, now);
+                held.link
+            }
         };
         let age = link.age(now);
         self.stats.consumed += 1;
@@ -601,39 +597,16 @@ impl EntanglementService {
 
     /// After a buffer slot frees, move the oldest parked link (if any)
     /// into the buffer.
-    fn unpark_held_links(&mut self) {
-        if self.held == 0 || self.buffer.len() >= self.config.buffer_capacity {
+    fn unpark_held_link(&mut self) {
+        if self.buffer.len() >= self.config.buffer_capacity {
             return;
         }
-        let held = self
-            .pairs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| match p {
-                PairState::Holding(link) => Some((link.created_at(), i, *link)),
-                PairState::Attempting(_) => None,
-            })
-            .min_by_key(|(created, i, _)| (*created, *i));
-        if let Some((_, i, link)) = held {
+        if let Some(held) = self.held.pop_front() {
             let ready = self.allocate_swap(self.now);
-            self.push_buffered(link, ready);
-            self.resume_pair(i, ready);
+            self.push_buffered(held.link, ready);
+            self.resume_pair(held.pair, ready);
         }
     }
-}
-
-/// What an event does, ordered as the processing order at equal times.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKind {
-    /// Pair `i`'s attempt completes.
-    Completion(usize),
-    /// The link parked on pair `i` passes the cutoff.
-    HeldExpiry(usize),
-    /// The link in buffer slot `i` passes the cutoff.
-    BufferExpiry(usize),
-    /// A swap-in completes. It sorts last and changes nothing but the
-    /// clock, so which link it readies never matters.
-    SwapDone,
 }
 
 #[cfg(test)]
@@ -647,35 +620,41 @@ mod tests {
         }
     }
 
-    /// Cross-checks the incremental bookkeeping against full rescans of
-    /// the pairs and the buffer.
+    /// Cross-checks the ordered queues and the ready count against full
+    /// scans of the service state.
     fn assert_consistent(svc: &EntanglementService) {
-        let ready = svc.buffer.iter().filter(|b| b.ready_at <= svc.now).count();
-        let held = svc
-            .pairs
+        let at = svc.now;
+        let ready = svc.buffer.iter().filter(|b| b.ready_at <= at).count();
+        assert_eq!(svc.ready, ready, "at {at}");
+        assert_eq!(svc.available(), ready + svc.held.len(), "at {at}");
+        let buffer: Vec<_> = svc.buffer.iter().collect();
+        for w in buffer.windows(2) {
+            assert!(
+                w[0].link.created_at() <= w[1].link.created_at() && w[0].ready_at <= w[1].ready_at,
+                "buffer out of creation order at {at}"
+            );
+        }
+        let held: Vec<_> = svc
+            .held
             .iter()
-            .filter(|p| matches!(p, PairState::Holding(_)))
-            .count();
-        assert_eq!(svc.available(), ready + held, "at {}", svc.now);
-        let expiry = svc
-            .buffer
+            .map(|h| (h.link.created_at(), h.pair))
+            .collect();
+        assert!(held.windows(2).all(|w| w[0] < w[1]), "at {at}");
+        if let (Some(newest), Some(&(oldest_held, _))) = (buffer.last(), held.first()) {
+            assert!(newest.link.created_at() <= oldest_held, "at {at}");
+        }
+        let attempts: Vec<_> = svc.attempts.iter().collect();
+        assert!(attempts.windows(2).all(|w| w[0] < w[1]), "at {at}");
+        assert!(attempts.iter().all(|a| a.done > at), "at {at}");
+        // Every pair is either attempting or parking, never both.
+        let mut pairs: Vec<usize> = svc
+            .attempts
             .iter()
-            .enumerate()
-            .filter_map(|(i, b)| Some((svc.expiry(&b.link)?, i)))
-            .min();
-        assert_eq!(svc.next_buffer_expiry, expiry, "at {}", svc.now);
-        let next_swap = svc
-            .buffer
-            .iter()
-            .map(|b| b.ready_at)
-            .filter(|&r| r > svc.now)
-            .min();
-        assert_eq!(
-            svc.swaps_in_flight.peek().map(|r| r.0),
-            next_swap,
-            "at {}",
-            svc.now
-        );
+            .map(|a| a.pair)
+            .chain(svc.held.iter().map(|h| h.pair))
+            .collect();
+        pairs.sort_unstable();
+        assert_eq!(pairs, (0..svc.config.num_comm_pairs).collect::<Vec<_>>());
     }
 
     #[test]
@@ -710,7 +689,7 @@ mod tests {
                 expires_mid_swap |= svc
                     .buffer
                     .iter()
-                    .any(|b| svc.expiry(&b.link).is_some_and(|e| e < b.ready_at));
+                    .any(|b| b.link.created_at() + Tick::new(151) < b.ready_at);
                 if step % 5 == 0 {
                     if let Some((granted, _)) = svc.take_next(t) {
                         t = granted;

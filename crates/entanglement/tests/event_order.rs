@@ -296,11 +296,144 @@ fn event_trace_fingerprints_are_pinned() {
     );
 }
 
+/// Attempt-lattice cases beyond the grid: the shapes an ordered attempt
+/// queue and a creation-ordered buffer have to get right.
+fn lattice_case(index: usize) -> Case {
+    let paper = ServiceConfig {
+        num_comm_pairs: 20,
+        pattern: GenerationPattern::Asynchronous { groups: 10 },
+        ..ServiceConfig::default()
+    };
+    // Offsets 0/33/66: the group count does not divide `T_EG = 100`, and
+    // 7 pairs leave the groups uneven.
+    let thirds = ServiceConfig {
+        num_comm_pairs: 7,
+        buffer_capacity: 4,
+        attempt_cycle: Tick::new(100),
+        pattern: GenerationPattern::Asynchronous { groups: 3 },
+        swap_latency: Tick::new(45),
+        ..ServiceConfig::default()
+    };
+    // One swap outlasts two attempt cycles, so the swap backlog runs past
+    // the pairs' next slots.
+    let backlog = ServiceConfig {
+        num_comm_pairs: 6,
+        buffer_capacity: 4,
+        swap_latency: Tick::new(250),
+        ..ServiceConfig::default()
+    };
+    // Synchronous successes and preinitialized links share their
+    // `created_at`; enough swap channels that they also share `ready_at`.
+    let ties = ServiceConfig {
+        num_comm_pairs: 6,
+        buffer_capacity: 8,
+        pattern: GenerationPattern::Synchronous,
+        swap_concurrency: 6,
+        ..ServiceConfig::default()
+    };
+    let cutoff = CutoffPolicy::MaxAge(Tick::new(150));
+    let (config, preinitialize) = match index {
+        0 => (paper, false),
+        1 => (
+            ServiceConfig {
+                cutoff,
+                consume_order: ConsumeOrder::FreshestFirst,
+                ..paper
+            },
+            true,
+        ),
+        2 => (thirds, false),
+        3 => (
+            ServiceConfig {
+                cutoff,
+                consume_order: ConsumeOrder::FreshestFirst,
+                ..thirds
+            },
+            false,
+        ),
+        4 => (backlog, false),
+        // A cutoff longer than one swap but shorter than the backlog, so
+        // the links at the back of the swap queue expire mid-swap.
+        5 => (
+            ServiceConfig {
+                cutoff: CutoffPolicy::MaxAge(Tick::new(600)),
+                pattern: GenerationPattern::Asynchronous { groups: 3 },
+                ..backlog
+            },
+            true,
+        ),
+        6 => (ties, true),
+        7 => (
+            ServiceConfig {
+                consume_order: ConsumeOrder::FreshestFirst,
+                ..ties
+            },
+            true,
+        ),
+        8 => (ServiceConfig { cutoff, ..ties }, true),
+        9 => (
+            ServiceConfig {
+                cutoff,
+                consume_order: ConsumeOrder::FreshestFirst,
+                ..ties
+            },
+            true,
+        ),
+        _ => unreachable!("{LATTICE_CASES} lattice cases"),
+    };
+    Case {
+        config,
+        preinitialize,
+    }
+}
+
+const LATTICE_CASES: usize = 10;
+
+/// Fingerprints of every lattice case at seeds 1 and 2, recorded on the
+/// heap-based event loop the ordered attempt queue replaced.
+#[rustfmt::skip]
+const LATTICE_EXPECTED: [[u64; 2]; LATTICE_CASES] = [
+    [0x18cf285af5b0ac55, 0x3186d08302e1d628],
+    [0x8d2f12a22d6caf2c, 0xf8fa5129bfccd5fd],
+    [0x9ef1dda7b5038b2b, 0x49269d934a94ebbe],
+    [0x21fac74be634856e, 0x4fe1d7b12320ce08],
+    [0xacc5d66513b20f48, 0x21aef36e76629756],
+    [0xd497392cce14b3df, 0xf0b6fb51332f52c1],
+    [0x56f2f2f9d91d72f9, 0x88a81596f36604f7],
+    [0x7fa7fab4aca2faec, 0x7e6ee18b17343afb],
+    [0x1b74f1790afc1969, 0xbde3d548dc452196],
+    [0xbc76f6f15cf0872b, 0x955af3912ad15abf],
+];
+
+#[test]
+fn lattice_fingerprints_are_pinned() {
+    let mut mismatches = Vec::new();
+    let mut all = Vec::new();
+    for (index, expected) in LATTICE_EXPECTED.iter().enumerate() {
+        let c = lattice_case(index);
+        let got = [fingerprint(&c, 1), fingerprint(&c, 2)];
+        all.push(format!("[{:#018x}, {:#018x}]", got[0], got[1]));
+        if got != *expected {
+            mismatches.push(format!(
+                "lattice case {index}: [{:#018x}, {:#018x}] != [{:#018x}, {:#018x}] for {c:?}",
+                got[0], got[1], expected[0], expected[1]
+            ));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} of {LATTICE_CASES} lattice cases moved:\n{}\ngot [{}]",
+        mismatches.len(),
+        mismatches.join("\n"),
+        all.join(", ")
+    );
+}
+
 #[test]
 fn fingerprints_separate_seeds() {
     // The pin is only as strong as the fingerprint: two seeds must drive
     // every configuration through different traces.
-    for (index, [a, b]) in EXPECTED.iter().enumerate() {
+    for (index, [a, b]) in EXPECTED.iter().chain(&LATTICE_EXPECTED).enumerate() {
         assert_ne!(a, b, "case {index}: seeds 1 and 2 fold to the same trace");
     }
 }

@@ -72,3 +72,19 @@ fn reversed_brackets_are_parse_errors() {
         assert_eq!(err.line(), line, "{source:?}: {err}");
     }
 }
+
+/// A declared width above `MAX_QUBITS` is a typed parse error naming the
+/// `qreg` line, not a register the depth pass or the analyzer would size
+/// per-qubit state by.
+#[test]
+fn registers_wider_than_the_limit_are_parse_errors() {
+    use dqc::circuit::MAX_QUBITS;
+    let widest = from_qasm(&format!("qreg q[{MAX_QUBITS}];")).expect("the limit itself parses");
+    assert_eq!(widest.num_qubits(), MAX_QUBITS);
+    for width in [u64::from(MAX_QUBITS) + 1, 4_294_967_295] {
+        let source = format!("OPENQASM 2.0;\nqreg q[{width}];\nh q[0];");
+        let err = from_qasm(&source).expect_err(&source);
+        assert_eq!(err.line(), 2, "{err}");
+        assert!(err.message().contains("exceeds the limit"), "{err}");
+    }
+}

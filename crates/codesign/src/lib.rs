@@ -56,7 +56,9 @@ pub use pareto::{pareto_frontier, Objectives};
 pub use search::SearchStrategy;
 
 use dqc_circuit::Circuit;
-use dqc_core::{AveragedReport, DesignSpace, DqcError, ScenarioKey};
+use dqc_core::{
+    AveragedReport, DesignSpace, DqcError, GridPlan, Scenario, ScenarioKey, SystemConfig,
+};
 use dqc_types::{Json, JsonError};
 
 /// One evaluated design point: its structured identity, its objective
@@ -208,11 +210,11 @@ impl CodesignResult {
 /// A configured co-design search: one benchmark, one typed design space,
 /// one strategy, one cost model.
 ///
-/// The search realizes every selected point, evaluates it through the
-/// compile-once [`dqc_core::SpaceSweep`] engine (points differing only
-/// in the design axis share a compilation), prices its hardware, and
-/// extracts the
-/// Pareto frontier over (fidelity ↑, relative depth ↓, hardware cost ↓).
+/// The search realizes every selected point once, evaluates it through
+/// the compile-once [`GridPlan`] engine (points differing only in the
+/// design axis share a compilation), prices its hardware, and extracts
+/// the Pareto frontier over (fidelity ↑, relative depth ↓, hardware
+/// cost ↓).
 #[derive(Debug, Clone)]
 pub struct Codesign {
     circuit_label: String,
@@ -286,11 +288,16 @@ impl Codesign {
     ///
     /// # Errors
     ///
-    /// Propagates every [`DqcError`] of the underlying
-    /// [`dqc_core::SpaceSweep`]: invalid space declarations, empty
-    /// selections, zero runs, and engine failures.
+    /// The space's [`DesignSpace::validate`] error, then
+    /// [`DqcError::ZeroRuns`] when `runs == 0`, then
+    /// [`DqcError::EmptySweep`] (axis `"points"`) when the strategy
+    /// selects no feasible point; otherwise the first engine error in
+    /// point order.
     pub fn run(&self) -> Result<CodesignResult, DqcError> {
         self.space.validate()?;
+        if self.runs == 0 {
+            return Err(DqcError::ZeroRuns);
+        }
         let mut indices = self.strategy.select(self.space.len());
         // Static prefilter: points the analyzer proves can never compile
         // (backend × circuit class, width, broken topology) are dropped
@@ -307,31 +314,56 @@ impl Codesign {
                 infeasible.into_iter().map(|(index, _)| index).collect();
             indices.retain(|index| !dropped.contains(index));
         }
-        let result = self
-            .space
-            .sweep()
-            .circuit(self.circuit_label.clone(), self.circuit.clone())
-            .subset(indices)
-            .runs(self.runs)
-            .base_seed(self.base_seed)
-            .threads(self.threads)
-            .run()?;
-
-        let mut candidates = Vec::with_capacity(result.cells.len());
-        for cell in result.cells {
-            let point = self.space.point(cell.point_index)?;
-            let scenario = self.space.realize(&point);
-            candidates.push(Candidate {
-                objectives: Objectives {
-                    fidelity: cell.report.mean_fidelity,
-                    depth_relative: cell.report.mean_depth_relative,
-                    hardware_cost: self.cost_model.cost(&scenario.config),
-                },
-                key: cell.key,
-                point_index: cell.point_index,
-                report: cell.report,
-            });
+        if indices.is_empty() {
+            return Err(DqcError::EmptySweep { axis: "points" });
         }
+
+        // Realize each selected point once, deduplicating configurations
+        // so design-axis neighbours share a compilation.
+        let mut configs: Vec<SystemConfig> = Vec::new();
+        let mut points = Vec::with_capacity(indices.len());
+        for index in indices {
+            let point = self.space.point(index)?;
+            let Scenario { config, design } = self.space.realize(&point);
+            let config_idx = match configs.iter().position(|c| *c == config) {
+                Some(i) => i,
+                None => {
+                    configs.push(config);
+                    configs.len() - 1
+                }
+            };
+            points.push((point, design, config_idx));
+        }
+        let reports = GridPlan {
+            circuits: vec![&self.circuit],
+            configs: configs.iter().collect(),
+            cells: points
+                .iter()
+                .map(|&(_, design, config_idx)| (config_idx, design))
+                .collect(),
+            runs: self.runs,
+            base_seed: self.base_seed,
+            threads: self.threads,
+        }
+        .execute()?;
+
+        let candidates: Vec<Candidate> = points
+            .into_iter()
+            .zip(reports)
+            .map(|((point, _, config_idx), report)| Candidate {
+                objectives: Objectives {
+                    fidelity: report.mean_fidelity,
+                    depth_relative: report.mean_depth_relative,
+                    hardware_cost: self.cost_model.cost(&configs[config_idx]),
+                },
+                key: ScenarioKey {
+                    circuit: self.circuit_label.clone(),
+                    values: point.values,
+                },
+                point_index: point.index,
+                report,
+            })
+            .collect();
         let objectives: Vec<Objectives> = candidates.iter().map(|c| c.objectives).collect();
         let frontier = pareto_frontier(&objectives);
         Ok(CodesignResult {
@@ -340,7 +372,7 @@ impl Codesign {
             cost_model: self.cost_model,
             candidates,
             frontier,
-            compilations: result.compilations,
+            compilations: configs.len(),
             pruned,
         })
     }
@@ -349,7 +381,7 @@ impl Codesign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqc_core::{AxisValue, Design, SystemConfig};
+    use dqc_core::{AxisValue, Design};
     use dqc_workloads::PaperBenchmark;
 
     fn small_space() -> DesignSpace {
@@ -464,6 +496,72 @@ mod tests {
         let result = small_search().run().unwrap();
         // 2 hardware points (comm 5, 10) × 3 designs → 2 compilations.
         assert_eq!(result.compilations, 2);
+    }
+
+    #[test]
+    fn exhaustive_search_matches_labelled_sweep_bit_for_bit() {
+        // The same grid run as a typed search and as a labelled sweep
+        // must produce identical reports: both reduce to one engine.
+        let designs = [Design::SyncBuf, Design::AdaptBuf];
+        let base = SystemConfig::paper_two_node_32();
+        let typed = Codesign::benchmark(
+            PaperBenchmark::QaoaR4_32,
+            DesignSpace::new(base.clone())
+                .comm_and_buffer(&[10, 15])
+                .designs(&designs),
+        )
+        .runs(2)
+        .base_seed(7)
+        .run()
+        .unwrap();
+        let labelled = dqc_core::Sweep::new()
+            .benchmark(PaperBenchmark::QaoaR4_32)
+            .config("n10", base.clone().with_comm_and_buffer(10))
+            .config("n15", base.with_comm_and_buffer(15))
+            .designs(&designs)
+            .runs(2)
+            .base_seed(7)
+            .run()
+            .unwrap();
+        assert_eq!(typed.compilations, labelled.compilations);
+        // Point order (comm outer, design inner) is the sweep's
+        // config-major × design order.
+        let typed_reports: Vec<&AveragedReport> =
+            typed.candidates.iter().map(|c| &c.report).collect();
+        let labelled_reports: Vec<&AveragedReport> =
+            labelled.cells.iter().map(|c| &c.report).collect();
+        assert_eq!(typed_reports, labelled_reports);
+    }
+
+    #[test]
+    fn random_sample_evaluates_only_the_sampled_points() {
+        let full = small_search().run().unwrap();
+        let sampled = small_search()
+            .strategy(SearchStrategy::RandomSample {
+                samples: 2,
+                seed: 5,
+            })
+            .run()
+            .unwrap();
+        assert_eq!(sampled.candidates.len(), 2);
+        for c in &sampled.candidates {
+            let same = &full.candidates[c.point_index];
+            assert_eq!(same.point_index, c.point_index);
+            assert_eq!((&same.key, &same.report), (&c.key, &c.report));
+        }
+        // Seed 5 samples points 3 and 5, both on the comm-10 hardware
+        // point: the unsampled comm-5 point is never compiled.
+        let indices: Vec<usize> = sampled.candidates.iter().map(|c| c.point_index).collect();
+        assert_eq!(indices, [3, 5]);
+        assert_eq!(sampled.compilations, 1);
+        let none = small_search()
+            .strategy(SearchStrategy::RandomSample {
+                samples: 0,
+                seed: 5,
+            })
+            .run()
+            .unwrap_err();
+        assert_eq!(none, DqcError::EmptySweep { axis: "points" });
     }
 
     #[test]

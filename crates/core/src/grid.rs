@@ -1,11 +1,11 @@
-//! The shared grid-execution engine behind [`crate::Sweep`] and
-//! [`crate::SpaceSweep`].
+//! The grid-execution engine behind [`crate::Sweep`] and the co-design
+//! search.
 //!
-//! Both front ends reduce their grids to the same plan: a list of
-//! *compile pairs* (circuit × configuration — each compiled into one
-//! shared [`CompiledCircuit`]) and a list of *cells* (pair × design —
-//! each an averaged seed range). The engine executes the plan with three
-//! guarantees, inherited verbatim from the original sweep runner:
+//! A grid is a plan: the full product of a circuit axis and a
+//! configuration axis (each *compile pair* is compiled into one shared
+//! [`CompiledCircuit`]) and a list of *cells* (pair × design — each an
+//! averaged seed range). The engine executes the plan with three
+//! guarantees:
 //!
 //! 1. **Compile-once** — every pair is compiled exactly once and shared
 //!    (via [`Arc`]) by all of its cells.
@@ -22,13 +22,17 @@ use std::sync::{Arc, Mutex};
 type Slot<T> = Mutex<Option<Result<T, DqcError>>>;
 
 /// An executable grid: what to compile and what to run, in final order.
-pub(crate) struct GridPlan<'a> {
+///
+/// The compile pairs are every (circuit, configuration) combination,
+/// circuit-major: pair `p` is circuit `p / configs.len()` on
+/// configuration `p % configs.len()`, so a plan always performs exactly
+/// `circuits.len() * configs.len()` compilations.
+#[derive(Debug)]
+pub struct GridPlan<'a> {
     /// The circuit axis.
     pub circuits: Vec<&'a Circuit>,
     /// The (deduplicated) configuration axis.
     pub configs: Vec<&'a SystemConfig>,
-    /// Compile units `(circuit index, config index)`, in compile order.
-    pub pairs: Vec<(usize, usize)>,
     /// Result cells `(pair index, design)`, in collection order.
     pub cells: Vec<(usize, Design)>,
     /// Seeded runs averaged per cell.
@@ -41,25 +45,39 @@ pub(crate) struct GridPlan<'a> {
 
 impl GridPlan<'_> {
     /// Executes the plan: compile every pair (in parallel), then run every
-    /// cell (in parallel), collecting reports in cell order. The number of
-    /// compilations performed is always exactly `pairs.len()`; callers
-    /// read it off the plan.
-    pub(crate) fn execute(&self) -> Result<Vec<AveragedReport>, DqcError> {
+    /// cell (in parallel), collecting one report per cell in cell order.
+    ///
+    /// # Errors
+    ///
+    /// The first compile error in pair order, otherwise the first cell
+    /// error in cell order.
+    ///
+    /// # Panics
+    ///
+    /// When a cell names a pair index outside the circuit × configuration
+    /// product.
+    pub fn execute(&self) -> Result<Vec<AveragedReport>, DqcError> {
+        let num_pairs = self.circuits.len() * self.configs.len();
+        assert!(
+            self.cells.iter().all(|&(pair, _)| pair < num_pairs),
+            "every cell names a (circuit, config) pair of the plan"
+        );
         // Compile phase: exactly once per (circuit, config) pair. The
         // compilations are independent and dominate wall-clock for small
         // run counts, so they go through the same worker-pool pattern as
         // the cells; errors still surface in plan order.
         let compile_slots: Vec<Slot<Arc<CompiledCircuit>>> =
-            self.pairs.iter().map(|_| Mutex::new(None)).collect();
+            (0..num_pairs).map(|_| Mutex::new(None)).collect();
         let next_pair = std::sync::atomic::AtomicUsize::new(0);
-        let compile_workers = self.worker_count(self.pairs.len());
+        let compile_workers = self.worker_count(num_pairs);
         std::thread::scope(|scope| {
             for _ in 0..compile_workers {
                 scope.spawn(|| loop {
                     let i = next_pair.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(&(ci, ki)) = self.pairs.get(i) else {
+                    if i >= num_pairs {
                         break;
-                    };
+                    }
+                    let (ci, ki) = (i / self.configs.len(), i % self.configs.len());
                     let outcome =
                         CompiledCircuit::compile(self.circuits[ci], self.configs[ki]).map(Arc::new);
                     *compile_slots[i]
@@ -68,7 +86,7 @@ impl GridPlan<'_> {
                 });
             }
         });
-        let mut compiled: Vec<Arc<CompiledCircuit>> = Vec::with_capacity(self.pairs.len());
+        let mut compiled: Vec<Arc<CompiledCircuit>> = Vec::with_capacity(num_pairs);
         for slot in compile_slots {
             compiled.push(
                 slot.into_inner()

@@ -16,17 +16,17 @@
 //! * [`Experiment`] — builder running one design over a seed range against
 //!   one compilation, yielding [`ExecutionReport`]s / an
 //!   [`AveragedReport`].
-//! * [`Sweep`] — a cartesian {benchmark × config × design} grid executed
-//!   by a thread-based parallel runner with deterministic per-cell seeding
-//!   and ordered collection.
-//! * [`DesignSpace`] / [`SpaceSweep`] — the typed co-design layer: every
-//!   tunable knob (hardware: EPR fidelity, κ, EPR cycle, comm/buffer
-//!   qubits, topology; software: design, protocol, partitioner) is a
-//!   first-class [`Axis`] with typed values, a scenario is a structured
-//!   [`ScenarioKey`], and sweeps share one compilation per circuit ×
+//! * [`Sweep`] — a cartesian {benchmark × config × design} grid with
+//!   labelled axes, executed by the [`GridPlan`] engine: compile once per
+//!   (circuit, config) pair, thread-parallel cells, deterministic per-cell
+//!   seeding, and ordered collection.
+//! * [`DesignSpace`] — the typed co-design layer: every tunable knob
+//!   (hardware: EPR fidelity, κ, EPR cycle, comm/buffer qubits, topology;
+//!   software: design, protocol, partitioner, backend) is a first-class
+//!   [`Axis`] with typed values, and a scenario is a structured
+//!   [`ScenarioKey`]. The `dqc-codesign` search realizes its points and
+//!   runs them on the same [`GridPlan`] engine, one compilation per
 //!   realized configuration (design-axis neighbours never recompile).
-//!   `Sweep` is the string-labeled compatibility front end over the
-//!   same engine.
 //! * [`RemoteFidelityTable`] — the §IV-C remote-gate fidelity from the
 //!   density-matrix teleportation evaluation, via the exact affine law.
 //! * [`Backend`] / [`BackendEngine`] — the executor's simulation engines:
@@ -111,9 +111,10 @@ pub use config::{
 pub use design::Design;
 pub use error::DqcError;
 pub use experiment::Experiment;
+pub use grid::GridPlan;
 pub use remote::RemoteFidelityTable;
 pub use report::{AveragedReport, ExecutionReport};
 pub use segment::{remote_count, segment_sequence};
-pub use space::{DesignPoint, DesignSpace, Scenario, SpaceCell, SpaceResult, SpaceSweep};
+pub use space::{DesignPoint, DesignSpace, Scenario};
 pub use sweep::{Sweep, SweepCell, SweepResult};
 pub use variants::{alap_variant, asap_variant, SegmentVariants, VariantKind};

@@ -13,13 +13,10 @@
 //! 3. **Ordered collection** — results come back in grid order (circuit ×
 //!    config × design, row-major) no matter which worker finished first.
 //!
-//! `Sweep` is the free-form, string-labeled front end: any
-//! [`SystemConfig`] under any label. It is a thin compatibility shim
-//! over the shared grid engine in [`crate::grid`] — the typed
-//! [`crate::DesignSpace`]/[`crate::SpaceSweep`] layer runs on the same
-//! engine and keys results by structured [`crate::ScenarioKey`]s instead
-//! of label strings; prefer it when the configurations you sweep are
-//! combinations of the standard co-design axes.
+//! `Sweep` is the labelled front end over the grid engine,
+//! [`crate::GridPlan`]: any [`SystemConfig`] under any label, with results
+//! keyed by those labels. The co-design search (`dqc-codesign`) drives
+//! the same engine directly from a typed [`crate::DesignSpace`].
 
 use crate::grid::GridPlan;
 use crate::{AveragedReport, Design, DqcError, SystemConfig};
@@ -257,28 +254,23 @@ impl Sweep {
             return Err(DqcError::ZeroRuns);
         }
 
-        // Reduce the string-labeled grid to a plan for the shared engine:
-        // every (circuit, config) pair is one compile unit (row-major),
-        // every (pair, design) one cell — the exact order, seeding, and
+        // Reduce the labelled grid to a plan for the shared engine: every
+        // (circuit, config) pair is one compile unit (row-major), every
+        // (pair, design) one cell — the exact order, seeding, and
         // compile-sharing of the original in-place runner, so results are
         // bit-for-bit identical.
-        let pairs: Vec<(usize, usize)> = (0..self.circuits.len())
-            .flat_map(|ci| (0..self.configs.len()).map(move |ki| (ci, ki)))
-            .collect();
-        let cells: Vec<(usize, Design)> = (0..pairs.len())
-            .flat_map(|pair_idx| self.designs.iter().map(move |&design| (pair_idx, design)))
-            .collect();
-        let plan = GridPlan {
+        let compilations = self.circuits.len() * self.configs.len();
+        let reports = GridPlan {
             circuits: self.circuits.iter().map(|(_, c)| c).collect(),
             configs: self.configs.iter().map(|(_, c)| c).collect(),
-            pairs,
-            cells,
+            cells: (0..compilations)
+                .flat_map(|pair_idx| self.designs.iter().map(move |&design| (pair_idx, design)))
+                .collect(),
             runs: self.runs,
             base_seed: self.base_seed,
             threads: self.threads,
-        };
-        let compilations = plan.pairs.len();
-        let reports = plan.execute()?;
+        }
+        .execute()?;
 
         let mut out = Vec::with_capacity(reports.len());
         let mut report_iter = reports.into_iter();

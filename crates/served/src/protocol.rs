@@ -41,11 +41,11 @@ use std::sync::Arc;
 /// placements.
 ///
 /// v3: observability. Every admitted submission gets a server-minted
-/// trace identity, echoed as an optional `trace_id` on its `result` or
-/// `error` reply; two new tagged commands — `metrics` (the raw
-/// [`MetricsSnapshot`] behind the stats roll-up, histograms included)
-/// and `trace` (the daemon's recent span/event ring as a
-/// [`Capture`]) — expose the live registry and trace buffer.
+/// trace identity, echoed as a `trace_id` (a string, or `null` when none
+/// was minted) on its `result` or `error` reply; two new tagged commands
+/// — `metrics` (the raw [`MetricsSnapshot`] behind the stats roll-up,
+/// histograms included) and `trace` (the daemon's recent span/event ring
+/// as a [`Capture`]) — expose the live registry and trace buffer.
 pub const PROTOCOL_VERSION: i64 = 3;
 
 /// The server identity string sent in `welcome`.
@@ -827,8 +827,7 @@ pub struct WireOutput {
     /// completion, queueing included).
     pub latency_ms: f64,
     /// The trace identity the daemon minted at admission (v3), usable
-    /// to correlate this request with a `trace` capture. Absent from
-    /// pre-v3 peers.
+    /// to correlate this request with a `trace` capture.
     pub trace_id: Option<TraceId>,
     /// Per-seed reports, in seed order.
     pub reports: Vec<ExecutionReport>,
@@ -1011,12 +1010,12 @@ pub fn parse_server_frame(json: &Json) -> Result<ServerFrame, JsonError> {
     })
 }
 
-/// Reads the optional v3 `trace_id` field: absent or `null` means none
-/// (a pre-v3 peer), a present string must parse as a trace identity.
+/// Reads the required v3 `trace_id` field: `null` means none was
+/// minted, a string must parse as a trace identity.
 fn optional_trace_id(json: &Json) -> Result<Option<TraceId>, JsonError> {
-    match json.get("trace_id") {
-        None | Some(Json::Null) => Ok(None),
-        Some(value) => {
+    match json.field("trace_id")? {
+        Json::Null => Ok(None),
+        value => {
             let text = value
                 .as_str()
                 .ok_or_else(|| JsonError::schema("field `trace_id`: expected a string or null"))?;
@@ -1311,7 +1310,7 @@ mod tests {
             }
             other => panic!("expected Error, got {other:?}"),
         }
-        // Absent and null both mean "no trace" (pre-v3 peers).
+        // `null` means no trace was minted.
         let without = Json::parse(&error_frame(None, &err, None).to_compact_string()).unwrap();
         match parse_server_frame(&without).unwrap() {
             ServerFrame::Error { trace_id, .. } => assert_eq!(trace_id, None),
@@ -1329,6 +1328,18 @@ mod tests {
                 }
             }
         }
-        assert!(parse_server_frame(&frame).is_err());
+        assert!(matches!(
+            parse_server_frame(&frame),
+            Err(JsonError::Schema { .. })
+        ));
+        // Every v3 peer writes the field, so omitting it is malformed.
+        let mut absent = error_frame(Some(1), &bad_request("x"), None);
+        if let Json::Object(members) = &mut absent {
+            members.retain(|(key, _)| key != "trace_id");
+        }
+        assert!(matches!(
+            parse_server_frame(&absent),
+            Err(JsonError::Schema { .. })
+        ));
     }
 }

@@ -175,12 +175,12 @@ fn zero_runs_surface_as_errors_everywhere() {
         .run()
         .unwrap_err();
     assert_eq!(from_sweep, DqcError::ZeroRuns);
-    let from_space = dqc::DesignSpace::new(config)
-        .designs(&[Design::AsyncBuf])
-        .sweep()
-        .benchmark(PaperBenchmark::Tlim32)
-        .runs(0)
-        .run()
-        .unwrap_err();
+    let from_space = dqc::Codesign::benchmark(
+        PaperBenchmark::Tlim32,
+        dqc::DesignSpace::new(config).designs(&[Design::AsyncBuf]),
+    )
+    .runs(0)
+    .run()
+    .unwrap_err();
     assert_eq!(from_space, DqcError::ZeroRuns);
 }

@@ -370,4 +370,33 @@ mod tests {
             .validate()
             .unwrap();
     }
+
+    #[test]
+    fn software_only_axes_share_one_compilation() {
+        // Design-axis neighbours realize to the same hardware point, so
+        // the grid engine compiles the circuit once for all of them.
+        let space = DesignSpace::new(base()).designs(&[
+            Design::Original,
+            Design::AsyncBuf,
+            Design::AdaptBuf,
+        ]);
+        let scenarios: Vec<Scenario> = space.points().map(|p| space.realize(&p)).collect();
+        assert_eq!(scenarios.len(), 3);
+        assert!(scenarios.iter().all(|s| s.config == base()));
+        let designs: Vec<Design> = scenarios.iter().map(|s| s.design).collect();
+        let result = crate::Sweep::new()
+            .benchmark(dqc_workloads::PaperBenchmark::Tlim32)
+            .config("base", scenarios[0].config.clone())
+            .designs(&designs)
+            .runs(2)
+            .run()
+            .unwrap();
+        assert_eq!(result.cells.len(), 3);
+        assert_eq!(result.compilations, 1, "one hardware point");
+        for (cell, design) in result.cells.iter().zip(&designs) {
+            assert_eq!(cell.circuit, "TLIM-32");
+            assert_eq!(cell.design, *design);
+            assert_eq!(cell.report.design, *design);
+        }
+    }
 }

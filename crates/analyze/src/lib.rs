@@ -50,7 +50,7 @@
 //! ```
 
 use dqc_circuit::{Circuit, Gate};
-use dqc_core::{Backend, Design, DesignSpace, SystemConfig, DENSITY_MAX_QUBITS};
+use dqc_core::{Backend, Design, Scenario, SystemConfig, DENSITY_MAX_QUBITS};
 use dqc_entanglement::{NetworkTopology, RoutingTable};
 use dqc_partition::{partition_circuit, partition_circuit_weighted, QubitMap};
 use dqc_serve::ServeConfig;
@@ -395,23 +395,18 @@ impl Analyzer {
         report
     }
 
-    /// Analyzes every point of a design space against a circuit,
-    /// error-level checks only — the prefilter `dqc-codesign` runs before
-    /// spending replay budget. Returns the statically infeasible point
-    /// indices with the proof for each.
-    pub fn infeasible_points(
+    /// Analyzes realized design points `(point index, scenario)` against
+    /// a circuit, error-level checks only — the prefilter `dqc-codesign`
+    /// runs before spending replay budget. Returns the statically
+    /// infeasible point indices with the proof for each.
+    pub fn infeasible_points<'a>(
         &self,
-        space: &DesignSpace,
         circuit_label: &str,
         circuit: &Circuit,
-        indices: &[usize],
+        points: impl IntoIterator<Item = (usize, &'a Scenario)>,
     ) -> Vec<(usize, AnalysisReport)> {
         let mut pruned = Vec::new();
-        for &index in indices {
-            let Ok(point) = space.point(index) else {
-                continue; // out-of-range indices fail in the sweep itself
-            };
-            let scenario = space.realize(&point);
+        for (index, scenario) in points {
             let mut report = AnalysisReport::default();
             let capacity = scenario.config.total_data_qubits();
             if circuit.num_qubits() as usize > capacity {

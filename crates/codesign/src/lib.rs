@@ -298,33 +298,39 @@ impl Codesign {
         if self.runs == 0 {
             return Err(DqcError::ZeroRuns);
         }
-        let mut indices = self.strategy.select(self.space.len());
+        // Realize each selected point once; the prefilter and the grid
+        // share the scenarios.
+        let mut realized = Vec::new();
+        for index in self.strategy.select(self.space.len()) {
+            let point = self.space.point(index)?;
+            let scenario = self.space.realize(&point);
+            realized.push((point, scenario));
+        }
         // Static prefilter: points the analyzer proves can never compile
         // (backend × circuit class, width, broken topology) are dropped
         // before they consume replay budget. Warnings never prune.
         let infeasible = dqc_analyze::Analyzer::new().infeasible_points(
-            &self.space,
             &self.circuit_label,
             &self.circuit,
-            &indices,
+            realized
+                .iter()
+                .map(|(point, scenario)| (point.index, scenario)),
         );
         let pruned = infeasible.len();
         if pruned > 0 {
             let dropped: std::collections::BTreeSet<usize> =
                 infeasible.into_iter().map(|(index, _)| index).collect();
-            indices.retain(|index| !dropped.contains(index));
+            realized.retain(|(point, _)| !dropped.contains(&point.index));
         }
-        if indices.is_empty() {
+        if realized.is_empty() {
             return Err(DqcError::EmptySweep { axis: "points" });
         }
 
-        // Realize each selected point once, deduplicating configurations
-        // so design-axis neighbours share a compilation.
+        // Deduplicate configurations so design-axis neighbours share a
+        // compilation.
         let mut configs: Vec<SystemConfig> = Vec::new();
-        let mut points = Vec::with_capacity(indices.len());
-        for index in indices {
-            let point = self.space.point(index)?;
-            let Scenario { config, design } = self.space.realize(&point);
+        let mut points = Vec::with_capacity(realized.len());
+        for (point, Scenario { config, design }) in realized {
             let config_idx = match configs.iter().position(|c| *c == config) {
                 Some(i) => i,
                 None => {

@@ -94,6 +94,22 @@ impl CompiledCircuit {
     /// non-Clifford gate under `stabilizer`; more than
     /// [`DENSITY_MAX_QUBITS`] qubits under `density`).
     pub fn compile(circuit: &Circuit, config: &SystemConfig) -> Result<Self, DqcError> {
+        Self::compile_with_table(circuit, config, None)
+    }
+
+    /// [`CompiledCircuit::compile`] with the remote-fidelity table
+    /// supplied by the caller, so a grid shares one table among every
+    /// pair with the same local noise. `None` builds the table from
+    /// `config.fidelities`, last, once every check has passed.
+    ///
+    /// A supplied `table` must equal
+    /// `RemoteFidelityTable::new(&config.fidelities)`; the table depends
+    /// only on the one-qubit, two-qubit and measurement fidelities.
+    pub(crate) fn compile_with_table(
+        circuit: &Circuit,
+        config: &SystemConfig,
+        table: Option<RemoteFidelityTable>,
+    ) -> Result<Self, DqcError> {
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
         let mut compile_span = dqc_obs::span("compile");
         if compile_span.enabled() {
@@ -196,7 +212,7 @@ impl CompiledCircuit {
             circuit: circuit.clone(),
             config: config.clone(),
             map,
-            table: RemoteFidelityTable::new(&config.fidelities),
+            table: table.unwrap_or_else(|| RemoteFidelityTable::new(&config.fidelities)),
             segments,
             variants,
             remote_gates,

@@ -26,7 +26,7 @@ use dqc_types::Fidelity;
 /// assert!(fresh > stale);
 /// assert!(fresh.value() > 0.95);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RemoteFidelityTable {
     slope: f64,
     intercept: f64,
@@ -38,7 +38,12 @@ impl RemoteFidelityTable {
     /// Evaluates the teleportation circuits at the two Werner extremes and
     /// fits the exact affine laws (for both the telegate and the
     /// state-teleportation hop).
+    ///
+    /// The result depends only on `one_qubit`, `two_qubit` and
+    /// `measurement`; the grid engine builds one table per distinct
+    /// triple and shares it across its compilations.
     pub fn new(fidelities: &OperationFidelities) -> Self {
+        let _span = dqc_obs::span("compile.fidelity_table");
         let noise = TeleportNoise {
             bell_fidelity: 1.0,
             local_cnot_fidelity: fidelities.two_qubit,

@@ -24,7 +24,7 @@ use dqc_circuit::Circuit;
 use dqc_types::{Json, JsonError};
 
 /// One completed cell of a sweep grid.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
     /// Label of the circuit axis entry (e.g. the benchmark name).
     pub circuit: String,
@@ -37,7 +37,7 @@ pub struct SweepCell {
 }
 
 /// Results of a completed sweep, in grid order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
     /// One cell per (circuit, config, design), row-major in that order.
     pub cells: Vec<SweepCell>,

@@ -44,7 +44,7 @@ use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -612,15 +612,12 @@ fn accept_loop(listener: &TcpListener, server: &Arc<Server>, shared: &Arc<Shared
         let server = Arc::clone(server);
         let shared_for_conn = Arc::clone(shared);
         let handle = std::thread::spawn(move || {
+            let _retire = ConnectionGuard {
+                conns: &shared_for_conn.conns,
+                closed: &shared_for_conn.counters.connections_closed,
+                conn_id,
+            };
             connection_loop(stream, &server, &shared_for_conn);
-            // Drop the registry's descriptor so the socket actually
-            // closes (FIN) once the reader and writer halves are gone.
-            shared_for_conn
-                .conns
-                .lock()
-                .expect("connection registry poisoned")
-                .remove(&conn_id);
-            shared_for_conn.counters.connections_closed.bump();
         });
         let mut threads = shared
             .conn_threads
@@ -639,6 +636,28 @@ fn accept_loop(listener: &TcpListener, server: &Arc<Server>, shared: &Arc<Shared
         }
         live.push(handle);
         *threads = live;
+    }
+}
+
+/// Retires one connection when dropped, on every exit path of its
+/// thread, a panic's unwind included: removes the registry's dup'd
+/// descriptor, so the socket actually closes (FIN) once the reader and
+/// writer halves are gone, and counts the connection closed.
+struct ConnectionGuard<'a> {
+    conns: &'a Mutex<HashMap<u64, TcpStream>>,
+    closed: &'a Counter,
+    conn_id: u64,
+}
+
+impl Drop for ConnectionGuard<'_> {
+    fn drop(&mut self) {
+        // A panic must not keep the entry alive, so a poisoned registry
+        // is cleaned up all the same.
+        self.conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.conn_id);
+        self.closed.bump();
     }
 }
 
@@ -859,5 +878,39 @@ fn handle_submit(
                 Some(trace),
             ));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_connection_is_still_retired() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let conns = Mutex::new(HashMap::from([(7, accepted)]));
+        let closed = Counter::default();
+        let unwound = std::panic::catch_unwind(|| {
+            let _retire = ConnectionGuard {
+                conns: &conns,
+                closed: &closed,
+                conn_id: 7,
+            };
+            panic!("connection handler failed");
+        });
+        assert!(unwound.is_err());
+        assert!(
+            conns.lock().unwrap().is_empty(),
+            "the registry entry is gone"
+        );
+        assert_eq!(closed.get(), 1, "the close is counted");
+        // The registry held the last descriptor: the peer sees EOF.
+        let mut client = client;
+        client
+            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(io::Read::read(&mut client, &mut [0u8; 1]).unwrap(), 0);
     }
 }
